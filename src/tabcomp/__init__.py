@@ -44,6 +44,7 @@ from .relations import (
     RelationTable,
     contains,
     count_contained,
+    count_hits,
     entropy,
     inverse_evaluate_relation,
     random_evaluate,
@@ -76,6 +77,7 @@ __all__ = [
     "entropy",
     "random_evaluate",
     "sample_function",
+    "count_hits",
     "superpose",
     "contains",
     "count_contained",

@@ -39,19 +39,25 @@ from .tables import decode, encode, evaluate, inverse_evaluate
 
 __all__ = ["main", "cli"]
 
-_SHAPE_PATTERN = re.compile(r"^(\d+)x(\d+)$")
+_SHAPE_PATTERN = re.compile(r"([0-9]+)x([0-9]+)")
 
 
 def _shape_argument(text: str) -> tuple[int, int]:
-    match = _SHAPE_PATTERN.match(text)
+    match = _SHAPE_PATTERN.fullmatch(text)
     if match is None:
         raise argparse.ArgumentTypeError(f"shape must look like '4x7', got {text!r}")
     return int(match.group(1)), int(match.group(2))
 
 
+def _integer_argument(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _digits_argument(text: str) -> tuple[int, ...]:
     tokens = text.split()
-    if not tokens or not all(re.fullmatch(r"\d+", token) for token in tokens):
+    if not tokens or not all(re.fullmatch(r"[0-9]+", token) for token in tokens):
         raise argparse.ArgumentTypeError(
             f"digits must be space-separated non-negative integers, got {text!r}"
         )
@@ -60,7 +66,7 @@ def _digits_argument(text: str) -> tuple[int, ...]:
 
 def _counts_argument(text: str) -> tuple[int, ...]:
     tokens = [piece.strip() for piece in text.split(",")]
-    if not tokens or not all(re.fullmatch(r"\d+", token) for token in tokens):
+    if not tokens or not all(re.fullmatch(r"[0-9]+", token) for token in tokens):
         raise argparse.ArgumentTypeError(
             f"counts must be comma-separated non-negative integers, got {text!r}"
         )
@@ -239,11 +245,11 @@ def _build_parser() -> argparse.ArgumentParser:
     number_parser.set_defaults(handler=_cmd_number)
 
     unnumber_parser = sub.add_parser("unnumber", help="print the shape and digits of a global number")
-    unnumber_parser.add_argument("number", type=int, help="global function number, 1-based")
+    unnumber_parser.add_argument("number", type=_integer_argument, help="global function number, 1-based")
     unnumber_parser.set_defaults(handler=_cmd_unnumber)
 
     shape_parser = sub.add_parser("shape", help="print the shape of a table number")
-    shape_parser.add_argument("number", type=int, help="table number in diagonal order, 1-based")
+    shape_parser.add_argument("number", type=_integer_argument, help="table number in diagonal order, 1-based")
     shape_parser.set_defaults(handler=_cmd_shape)
 
     count_parser = sub.add_parser("count", help="print how many functions fit a shape")
@@ -252,12 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_parser = sub.add_parser("eval", help="apply a function document to one argument")
     _add_document_argument(eval_parser)
-    eval_parser.add_argument("--arg", type=int, required=True, help="argument position, 1-based")
+    eval_parser.add_argument("--arg", type=_integer_argument, required=True, help="argument position, 1-based")
     eval_parser.set_defaults(handler=_cmd_eval)
 
     inverse_parser = sub.add_parser("inverse", help="print the arguments mapped to a value")
     _add_document_argument(inverse_parser)
-    inverse_parser.add_argument("--value", type=int, required=True, help="value position, 1-based")
+    inverse_parser.add_argument("--value", type=_integer_argument, required=True, help="value position, 1-based")
     inverse_parser.set_defaults(handler=_cmd_inverse)
 
     entropy_parser = sub.add_parser("entropy", help="print the computational entropy of a document")
@@ -285,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sample_parser = sub.add_parser("sample", help="draw one contained function from a relation")
     _add_document_argument(sample_parser)
-    sample_parser.add_argument("--seed", type=int, required=True, help="random seed")
+    sample_parser.add_argument("--seed", type=_integer_argument, required=True, help="random seed")
     sample_parser.set_defaults(handler=_cmd_sample)
 
     antidiag_parser = sub.add_parser("antidiag", help="print a digit string differing from each input")
@@ -304,10 +310,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--counts", type=_counts_argument, required=True, help="stored-set sizes, e.g. 1,2,4,8"
     )
-    sweep_parser.add_argument("--trials", type=int, required=True, help="samples per sweep point")
-    sweep_parser.add_argument("--seed", type=int, required=True, help="random seed")
+    sweep_parser.add_argument("--trials", type=_integer_argument, required=True, help="samples per sweep point")
+    sweep_parser.add_argument("--seed", type=_integer_argument, required=True, help="random seed")
     sweep_parser.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    sweep_parser.add_argument("--workers", type=int, default=1, help="threads across sweep points")
+    sweep_parser.add_argument(
+        "--workers",
+        type=_integer_argument,
+        default=1,
+        help="a validated hint; points run sequentially and the output never depends on it",
+    )
     sweep_parser.add_argument(
         "--distinct",
         action=argparse.BooleanOptionalAction,

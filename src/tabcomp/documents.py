@@ -38,11 +38,11 @@ class TableDocument:
         shape = self.table.shape
         if self.arg_labels is not None:
             for key in self.arg_labels:
-                if not isinstance(key, int) or not 1 <= key <= shape.n:
+                if type(key) is not int or not 1 <= key <= shape.n:
                     raise DomainError(f"argument label key {key!r} outside 1..{shape.n}")
         if self.value_labels is not None:
             for key in self.value_labels:
-                if not isinstance(key, int) or not 1 <= key <= shape.m:
+                if type(key) is not int or not 1 <= key <= shape.m:
                     raise DomainError(f"value label key {key!r} outside 1..{shape.m}")
 
     @property
@@ -66,7 +66,7 @@ def _significant_lines(text: str) -> list[_Line]:
 
 
 def _parse_int(token: str, line: int, column: int, what: str) -> int:
-    if not re.fullmatch(r"\d+", token):
+    if not re.fullmatch(r"[0-9]+", token):
         raise ParseError(f"{what} {token!r} is not a decimal integer", line=line, column=column)
     return int(token)
 

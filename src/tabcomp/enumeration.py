@@ -47,9 +47,9 @@ class TableShape:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ShapeError(f"argument count n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ShapeError(f"value count m must be a positive integer, got {self.m!r}")
 
     @property
@@ -80,7 +80,7 @@ class FunctionIndex:
                 f"expected {self.shape.n} digits for shape {self.shape}, got {len(self.digits)}"
             )
         for position, digit in enumerate(self.digits, start=1):
-            if not isinstance(digit, int) or not 0 <= digit <= self.shape.m:
+            if type(digit) is not int or not 0 <= digit <= self.shape.m:
                 raise InvalidIndexError(
                     f"digit {digit!r} at position {position} outside 0..{self.shape.m}"
                 )
@@ -99,14 +99,14 @@ def max_fn(j: int) -> int:
     Equals the j-th triangular number j(j+1)/2, the closed form of the
     recursion max(0) = 0, max(j) = max(j-1) + j.
     """
-    if not isinstance(j, int) or j < 0:
+    if type(j) is not int or j < 0:
         raise DomainError(f"diagonal index must be a non-negative integer, got {j!r}")
     return j * (j + 1) // 2
 
 
 def diagonal_of_table(i: int) -> int:
     """The diagonal j on which table i lies: the unique j with max_fn(j-1) < i <= max_fn(j)."""
-    if not isinstance(i, int) or i < 1:
+    if type(i) is not int or i < 1:
         raise DomainError(f"table number must be a positive integer, got {i!r}")
     # Invert the triangular closed form, then correct by at most one step.
     j = (math.isqrt(8 * i + 1) - 1) // 2
@@ -160,7 +160,7 @@ def function_from_number(number: int) -> FunctionIndex:
     table containing ``number`` is found, then expands the residual position
     in base m+1, left-padded with zeros to n digits.
     """
-    if not isinstance(number, int) or number < 1:
+    if type(number) is not int or number < 1:
         raise DomainError(f"global function number must be a positive integer, got {number!r}")
     remaining = number - 1
     table = 1

@@ -9,8 +9,11 @@ trials.
 
 All randomness is derived from the one seed in the config: the master
 sequence from one substream, each point's trials from a substream keyed by
-point position. Points therefore never share generator state and the report
-is byte-identical however many workers compute it.
+point position. Points therefore never share generator state, and the report
+depends only on the config. Points run one after another; a point's trials
+are counted column by column across all trials (``count_hits``), which draws
+the same values as repeated ``sample_function`` calls but skips the draws
+that cannot change the count.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Literal
 
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError
-from .relations import RelationTable, count_contained, entropy, sample_function, superpose
+from .relations import RelationTable, count_contained, count_hits, entropy, superpose
 from .streams import substream_seed
 from .tables import FunctionTable
 
@@ -59,11 +61,11 @@ class ExperimentConfig:
         if not self.stored_counts:
             raise ConfigError("stored_counts must name at least one sweep point")
         for count in self.stored_counts:
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ConfigError(f"stored count {count!r} is not a positive integer")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials {self.trials!r} is not a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed {self.seed!r} outside 0..2**64-1")
         if self.distinct:
             total = self.shape.m**self.shape.n
@@ -124,10 +126,7 @@ def _run_point(
     # contained total function is sampled with probability 1/contained
     expected = len(stored_marks) / contained
     randomness = random.Random(substream_seed(config.seed, 1, position))
-    hits = 0
-    for _ in range(config.trials):
-        if sample_function(relation, randomness).marks in stored_marks:
-            hits += 1
+    hits = count_hits(relation, stored, config.trials, randomness)
     return SweepPoint(
         stored_count=stored_count,
         entropy=entropy(relation),
@@ -138,17 +137,18 @@ def _run_point(
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Compute every sweep point; the worker count never changes the result."""
-    if not isinstance(workers, int) or workers < 1:
+    """Compute every sweep point, one after another.
+
+    ``workers`` is a validated hint that never changes the result. Points run
+    sequentially whatever its value: the trial loop is pure Python, so a
+    thread pool only adds switching under the interpreter lock.
+    """
+    if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master = _master_sequence(config)
-    positions = range(len(config.stored_counts))
-    if workers == 1:
-        points = [_run_point(config, master, position) for position in positions]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda p: _run_point(config, master, p), positions))
-    return ExperimentReport(tuple(points))
+    return ExperimentReport(
+        tuple(_run_point(config, master, position) for position in range(len(config.stored_counts)))
+    )
 
 
 def emit_report(report: ExperimentReport, format: ReportFormat = "csv") -> bytes:

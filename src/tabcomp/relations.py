@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "entropy",
     "random_evaluate",
     "sample_function",
+    "count_hits",
     "superpose",
     "contains",
     "count_contained",
@@ -54,7 +56,7 @@ class RelationTable:
             )
         full = (1 << self.shape.m) - 1
         for column, bits in enumerate(self.columns, start=1):
-            if not isinstance(bits, int) or not 0 <= bits <= full:
+            if type(bits) is not int or not 0 <= bits <= full:
                 raise ShapeError(
                     f"column {column} mark bits {bits!r} outside rows 1..{self.shape.m}"
                 )
@@ -70,7 +72,7 @@ class RelationTable:
         for column, rows in enumerate(rows_per_column, start=1):
             bits = 0
             for row in rows:
-                if not isinstance(row, int) or not 1 <= row <= shape.m:
+                if type(row) is not int or not 1 <= row <= shape.m:
                     raise ShapeError(f"row {row!r} in column {column} outside 1..{shape.m}")
                 bits |= 1 << (row - 1)
             columns.append(bits)
@@ -132,7 +134,7 @@ def random_evaluate(
 ) -> int | None:
     """One marked row of the argument's column, chosen uniformly; None when empty."""
     relation = _as_relation(relation)
-    if not isinstance(argument, int) or not 1 <= argument <= relation.shape.n:
+    if type(argument) is not int or not 1 <= argument <= relation.shape.n:
         raise DomainError(f"argument {argument!r} outside columns 1..{relation.shape.n}")
     rows = relation.rows_by_column[argument - 1]
     if not rows:
@@ -158,6 +160,52 @@ def sample_function(
         else:
             marks.append(rows[uniform_index(substream_seed(base, index), len(rows))])
     return FunctionTable(relation.shape, tuple(marks))
+
+
+def count_hits(
+    relation: RelationTable | FunctionTable,
+    stored: Iterable[FunctionTable],
+    trials: int,
+    randomness: random.Random,
+) -> int:
+    """How many of ``trials`` sample_function draws land on a stored function.
+
+    Equal to ``sum(sample_function(relation, randomness).marks in stored_marks
+    for _ in range(trials))`` and leaves ``randomness`` in the same state, but
+    works column by column across all trials. With the stored digit strings
+    sorted, the ones that agree with every column drawn so far form one
+    contiguous range, so each trial keeps that range and stops drawing once
+    it is empty. Columns with at most one marked row are forced and draw
+    nothing. Substream draws do not depend on evaluation order, so skipping
+    them changes no outcome.
+    """
+    relation = _as_relation(relation)
+    if type(trials) is not int or trials < 0:
+        raise DomainError(f"trials {trials!r} is not a non-negative integer")
+    shape = relation.shape
+    targets = []
+    for table in stored:
+        # identity first: a sweep's tables all share one shape object
+        if table.shape is not shape and table.shape != shape:
+            raise ShapeError(f"shape mismatch: {shape} vs {table.shape}")
+        targets.append(table.marks)
+    targets.sort()
+    live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(trials)]
+    if not targets:
+        return 0
+    seed_of, draw = substream_seed, uniform_index
+    for index, (rows, column) in enumerate(zip(relation.rows_by_column, zip(*targets))):
+        count = len(rows)
+        survivors = []
+        for base, low, high in live:
+            row = rows[draw(seed_of(base, index), count)] if count > 1 else (rows[0] if rows else 0)
+            low = bisect_left(column, row, low, high)
+            if low < high and column[low] == row:
+                survivors.append((base, low, bisect_right(column, row, low, high)))
+        live = survivors
+        if not live:
+            break
+    return len(live)
 
 
 def superpose(
@@ -207,7 +255,7 @@ def inverse_evaluate_relation(
 ) -> tuple[int, ...]:
     """All columns whose cell at the given row is marked, ascending."""
     relation = _as_relation(relation)
-    if not isinstance(value, int) or not 1 <= value <= relation.shape.m:
+    if type(value) is not int or not 1 <= value <= relation.shape.m:
         raise DomainError(f"value {value!r} outside rows 1..{relation.shape.m}")
     bit = 1 << (value - 1)
     return tuple(

@@ -34,7 +34,7 @@ class FunctionTable:
                 f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.marks)}"
             )
         for column, row in enumerate(self.marks, start=1):
-            if not isinstance(row, int) or not 0 <= row <= self.shape.m:
+            if type(row) is not int or not 0 <= row <= self.shape.m:
                 raise InvalidIndexError(
                     f"mark {row!r} in column {column} outside rows 0..{self.shape.m}"
                 )
@@ -59,7 +59,7 @@ def evaluate(table: FunctionTable, argument: int) -> int | None:
 
     Inspects exactly one column.
     """
-    if not isinstance(argument, int) or not 1 <= argument <= table.shape.n:
+    if type(argument) is not int or not 1 <= argument <= table.shape.n:
         raise DomainError(f"argument {argument!r} outside columns 1..{table.shape.n}")
     row = table.marks[argument - 1]
     return row if row != 0 else None
@@ -71,7 +71,7 @@ def inverse_evaluate(table: FunctionTable, value: int) -> tuple[int, ...]:
     Inspects each column of the row once; the preimage may be empty or contain
     several columns.
     """
-    if not isinstance(value, int) or not 1 <= value <= table.shape.m:
+    if type(value) is not int or not 1 <= value <= table.shape.m:
         raise DomainError(f"value {value!r} outside rows 1..{table.shape.m}")
     return tuple(
         column for column, row in enumerate(table.marks, start=1) if row == value

@@ -207,6 +207,14 @@ EXIT_CORPUS = [
     (["contained-count", "{full22}", "--mode", "bogus"], None, 2),
     (["sweep", "--shape", "2x2", "--counts", "1;2", "--trials", "10", "--seed", "1"], None, 2),
     (["sweep", "--shape", "2x2", "--counts", "1,2", "--trials", "10", "--seed", "1", "--format", "xml"], None, 2),
+    # only ASCII digits are digits: int() and \d also accept other scripts
+    (["decode", "--shape", "\uff12x\uff12", "--k", "1 2"], None, 2),
+    (["decode", "--shape", "2x2\n", "--k", "1 2"], None, 2),
+    (["decode", "--shape", "2x2", "--k", "\uff11 \u0662"], None, 2),
+    (["sweep", "--shape", "2x2", "--counts", "\uff11,2", "--trials", "10", "--seed", "1"], None, 2),
+    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "\u0663", "--seed", "1"], None, 2),
+    (["unnumber", "\u0663"], None, 2),
+    (["encode", "-"], "table 2 2 function\n\uff11 \u0663\n", 2),
 ]
 
 

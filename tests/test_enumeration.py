@@ -246,6 +246,10 @@ def test_shape_validation():
         TableShape(1, 0)
     with pytest.raises(ShapeError):
         TableShape(2, -3)
+    with pytest.raises(ShapeError):
+        TableShape(True, True)
+    with pytest.raises(ShapeError):
+        TableShape(2, True)
 
 
 def test_index_validation():
@@ -256,6 +260,8 @@ def test_index_validation():
         FunctionIndex(shape, (0, 4))
     with pytest.raises(InvalidIndexError):
         FunctionIndex(shape, (-1, 0))
+    with pytest.raises(InvalidIndexError):
+        FunctionIndex(shape, (True, 0))
 
 
 def test_index_reads_as_natural_number():

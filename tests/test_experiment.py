@@ -35,6 +35,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _small_config(trials=0)
     with pytest.raises(ConfigError):
+        _small_config(trials=True)
+    with pytest.raises(ConfigError):
         _small_config(seed=-1)
     with pytest.raises(ConfigError):
         _small_config(seed=1 << 64)
@@ -48,6 +50,8 @@ def test_config_validation():
 def test_run_sweep_rejects_bad_worker_count():
     with pytest.raises(ConfigError):
         run_sweep(_small_config(), workers=0)
+    with pytest.raises(ConfigError):
+        run_sweep(_small_config(), workers=True)
 
 
 def test_identical_configs_give_identical_reports():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tabcomp import (
     DomainError,
@@ -19,6 +19,7 @@ from tabcomp import (
     TableShape,
     contains,
     count_contained,
+    count_hits,
     entropy,
     inverse_evaluate_relation,
     random_evaluate,
@@ -26,7 +27,7 @@ from tabcomp import (
     superpose,
 )
 
-from strategies import relations, relations_of, tables, tables_of
+from strategies import relations, relations_of, shapes, tables, tables_of
 
 
 def test_entropy_hand_cases():
@@ -191,6 +192,8 @@ def test_relation_construction_and_views():
         RelationTable(TableShape(2, 2), (1,))
     with pytest.raises(ShapeError):
         RelationTable(TableShape(2, 2), (4, 0))
+    with pytest.raises(ShapeError):
+        RelationTable(TableShape(2, 2), (True, 0))
 
 
 @given(tables())
@@ -267,3 +270,59 @@ def test_sample_function_is_deterministic_per_seed():
     first = sample_function(relation, random.Random(31))
     second = sample_function(relation, random.Random(31))
     assert first == second
+
+
+@st.composite
+def stored_sets(draw):
+    """A relation plus the functions stored in it, as the sweep builds them.
+
+    The stored list may repeat functions or not, and may hold partial
+    functions; the relation is their superposition, sometimes with extra
+    marks that no stored function uses.
+    """
+    shape = draw(shapes(max_n=6, max_m=6))
+    stored = draw(st.lists(tables_of(shape), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        stored = list({table.marks: table for table in stored}.values())
+    relation = RelationTable.empty(shape)
+    for table in stored:
+        relation = superpose(relation, table)
+    if draw(st.booleans()):
+        relation = superpose(relation, draw(relations_of(shape)))
+    return relation, stored
+
+
+_ONE = FunctionTable(TableShape(4, 3), (1, 3, 2, 2))
+_SATURATED = TableShape(2, 3)
+_EVERY_2X3 = [
+    FunctionTable(_SATURATED, marks) for marks in itertools.product(range(1, 4), repeat=2)
+]
+
+
+@given(stored_sets(), st.integers(min_value=1, max_value=300), st.integers(0, 2**64 - 1))
+@example((RelationTable.from_function(_ONE), [_ONE]), 300, 5)
+@example((RelationTable(_SATURATED, (0b111, 0b111)), _EVERY_2X3), 300, 6)
+@example((RelationTable(_SATURATED, (0b111, 0b111)), _EVERY_2X3 + _EVERY_2X3[:4]), 1, 7)
+@settings(max_examples=150)
+def test_count_hits_matches_repeated_sampling(case, trials, seed):
+    relation, stored = case
+    stored_marks = {table.marks for table in stored}
+    reference = random.Random(seed)
+    expected = sum(
+        sample_function(relation, reference).marks in stored_marks for _ in range(trials)
+    )
+    batched = random.Random(seed)
+    assert count_hits(relation, stored, trials, batched) == expected
+    # the same draws were consumed, so the generators stay in step
+    assert batched.getstate() == reference.getstate()
+
+
+def test_count_hits_edge_cases():
+    relation = RelationTable.from_rows(TableShape(2, 2), [[1, 2], [1]])
+    stored = [FunctionTable(TableShape(2, 2), (1, 1))]
+    assert count_hits(relation, stored, 0, random.Random(1)) == 0
+    assert count_hits(relation, [], 5, random.Random(1)) == 0
+    with pytest.raises(DomainError):
+        count_hits(relation, stored, -1, random.Random(1))
+    with pytest.raises(ShapeError):
+        count_hits(relation, [FunctionTable(TableShape(2, 3), (1, 1))], 5, random.Random(1))

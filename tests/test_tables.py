@@ -133,3 +133,5 @@ def test_table_validation():
         FunctionTable(shape, (1, 4))
     with pytest.raises(InvalidIndexError):
         FunctionTable(shape, (1, -1))
+    with pytest.raises(InvalidIndexError):
+        FunctionTable(shape, (1, True))
