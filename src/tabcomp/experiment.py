@@ -10,10 +10,11 @@ trials.
 All randomness is derived from the one seed in the config: the master
 sequence from one substream, each point's trials from a substream keyed by
 point position. Points therefore never share generator state, and the report
-depends only on the config. Points run one after another; a point's trials
-are counted column by column across all trials (``count_hits``), which draws
-the same values as repeated ``sample_function`` calls but skips the draws
-that cannot change the count.
+depends only on the config. Points run one after another, on relations that
+one pass over the master sequence snapshots at each S; a point's trials are
+counted column by column across all trials (``count_hits``), which draws the
+same values as repeated ``sample_function`` calls but skips the draws that
+cannot change the count.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from functools import reduce
 from typing import Literal
 
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError
-from .relations import RelationTable, count_contained, count_hits, entropy, superpose
+from .relations import RelationTable, count_contained, count_hits, entropy
 from .streams import substream_seed
 from .tables import FunctionTable
 
@@ -97,15 +97,23 @@ def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
     """The stored functions, drawn up-front; point S uses the first S of them.
 
     Total functions with digits uniform in 1..m; with distinct=True repeats
-    are rejected so the prefix of length S is a set of size S.
+    are rejected so the prefix of length S is a set of size S. Digits are
+    drawn inline exactly as ``randrange(1, m + 1)`` draws them on CPython 3.10-3.13.
     """
     randomness = random.Random(substream_seed(config.seed, 0))
     n, m = config.shape.n, config.shape.m
+    getrandbits, k = randomness.getrandbits, m.bit_length()
     needed = max(config.stored_counts)
     sequence: list[FunctionTable] = []
     seen: set[tuple[int, ...]] = set()
     while len(sequence) < needed:
-        marks = tuple(randomness.randrange(1, m + 1) for _ in range(n))
+        digits = [0] * n
+        for index in range(n):
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            digits[index] = r + 1
+        marks = tuple(digits)
         if config.distinct:
             if marks in seen:
                 continue
@@ -115,18 +123,16 @@ def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
 
 
 def _run_point(
-    config: ExperimentConfig, master: list[FunctionTable], position: int
+    config: ExperimentConfig, master: list[FunctionTable], position: int,
+    relation: RelationTable, distinct_count: int,
 ) -> SweepPoint:
     stored_count = config.stored_counts[position]
-    stored = master[:stored_count]
-    relation = reduce(superpose, stored, RelationTable.empty(config.shape))
     contained = count_contained(relation, "total-on-support")
-    stored_marks = {table.marks for table in stored}
     # stored functions are total, so every column is non-empty and each
     # contained total function is sampled with probability 1/contained
-    expected = len(stored_marks) / contained
+    expected = distinct_count / contained
     randomness = random.Random(substream_seed(config.seed, 1, position))
-    hits = count_hits(relation, stored, config.trials, randomness)
+    hits = count_hits(relation, master[:stored_count], config.trials, randomness)
     return SweepPoint(
         stored_count=stored_count,
         entropy=entropy(relation),
@@ -146,8 +152,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master = _master_sequence(config)
+    columns, seen, prefixes = [0] * config.shape.n, set(), {}
+    for size, table in enumerate(master, start=1):
+        columns = [bits | 1 << (row - 1) for bits, row in zip(columns, table.marks)]
+        seen.add(table.marks)
+        if size in config.stored_counts:
+            prefixes[size] = (RelationTable(config.shape, tuple(columns)), len(seen))
     return ExperimentReport(
-        tuple(_run_point(config, master, position) for position in range(len(config.stored_counts)))
+        tuple(
+            _run_point(config, master, position, *prefixes[count])
+            for position, count in enumerate(config.stored_counts)
+        )
     )
 
 

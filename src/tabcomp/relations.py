@@ -54,9 +54,9 @@ class RelationTable:
             raise ShapeError(
                 f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.columns)}"
             )
-        full = (1 << self.shape.m) - 1
         for column, bits in enumerate(self.columns, start=1):
-            if type(bits) is not int or not 0 <= bits <= full:
+            # bit_length, not a (1 << m) - 1 mask: m may be far too big to allocate
+            if type(bits) is not int or bits < 0 or bits.bit_length() > self.shape.m:
                 raise ShapeError(
                     f"column {column} mark bits {bits!r} outside rows 1..{self.shape.m}"
                 )

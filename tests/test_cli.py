@@ -97,6 +97,12 @@ def test_entropy(capsys, docs):
     assert run_cli(capsys, ["entropy", docs["full22"]]) == (0, "1.0\n", "")
 
 
+def test_entropy_of_a_relation_with_huge_m(capsys, tmp_path):
+    path = tmp_path / "huge_m.doc"
+    path.write_text("table 1 1000000000000000000000000000000 relation\ncol 1: 1\n")
+    assert run_cli(capsys, ["entropy", str(path)]) == (0, "0.0\n", "")
+
+
 def test_superpose(capsys, docs):
     code, out, _ = run_cli(capsys, ["superpose", docs["f12"], docs["f21"]])
     assert (code, out) == (0, FULL22)

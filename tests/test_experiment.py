@@ -3,20 +3,30 @@
 from __future__ import annotations
 
 import math
+import random
+from functools import reduce
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from tabcomp import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    FunctionTable,
     ParseError,
+    RelationTable,
     SweepPoint,
     TableShape,
     emit_report,
+    experiment,
     parse_report,
     run_sweep,
+    superpose,
 )
+from tabcomp.streams import substream_seed
 
 
 def _small_config(**overrides):
@@ -176,3 +186,63 @@ def test_report_points_are_plain_records():
     point = SweepPoint(1, 0.0, 1, 1.0, 1.0)
     report = ExperimentReport((point,))
     assert report.points == (point,)
+
+
+def _randrange_master(config):
+    """The master sequence drawn with one ``randrange`` call a digit: the oracle
+    for the inline draws of ``_master_sequence``."""
+    randomness = random.Random(substream_seed(config.seed, 0))
+    n, m = config.shape.n, config.shape.m
+    sequence, seen = [], set()
+    while len(sequence) < max(config.stored_counts):
+        marks = tuple(randomness.randrange(1, m + 1) for _ in range(n))
+        if config.distinct:
+            if marks in seen:
+                continue
+            seen.add(marks)
+        sequence.append(FunctionTable(config.shape, marks))
+    return sequence
+
+
+@st.composite
+def sweep_configs(draw):
+    """Small configs: m = 1, powers of two and other m; unsorted, repeated counts."""
+    shape = TableShape(draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])))
+    distinct = draw(st.booleans())
+    largest = min(shape.m**shape.n, 40) if distinct else 40
+    counts = draw(st.lists(st.integers(1, largest), min_size=1, max_size=6))
+    return ExperimentConfig(
+        shape, tuple(counts), draw(st.integers(1, 20)), draw(st.integers(0, 2**64 - 1)), distinct
+    )
+
+
+@given(sweep_configs())
+@example(ExperimentConfig(TableShape(4, 1), (1, 1), trials=3, seed=0))
+@example(ExperimentConfig(TableShape(3, 1), (5, 2), trials=3, seed=1, distinct=False))
+@example(ExperimentConfig(TableShape(2, 4), (16, 3, 16), trials=5, seed=2))
+@settings(max_examples=150)
+def test_master_sequence_matches_randrange(config):
+    assert experiment._master_sequence(config) == _randrange_master(config)
+
+
+@given(sweep_configs())
+@example(ExperimentConfig(TableShape(2, 2), (4, 1, 4, 2), trials=5, seed=3))
+@example(ExperimentConfig(TableShape(2, 2), (6, 2, 6), trials=5, seed=3, distinct=False))
+@settings(max_examples=150)
+def test_prefix_pass_matches_superposing_each_prefix(config):
+    calls = []
+    run_point = experiment._run_point
+
+    def recording(config, master, position, relation, distinct_count):
+        calls.append((position, relation, distinct_count))
+        return run_point(config, master, position, relation, distinct_count)
+
+    with mock.patch.object(experiment, "_run_point", recording):
+        report = run_sweep(config)
+    master = _randrange_master(config)
+    assert [position for position, _, _ in calls] == list(range(len(config.stored_counts)))
+    for (position, relation, distinct_count), point in zip(calls, report.points):
+        stored = master[: config.stored_counts[position]]
+        assert relation == reduce(superpose, stored, RelationTable.empty(config.shape))
+        assert distinct_count == len({table.marks for table in stored})
+        assert point.stored_count == config.stored_counts[position]

@@ -1,8 +1,13 @@
 """Golden outputs: seeded CLI runs must reproduce their committed stdout byte for byte.
 
-The files under ``tests/golden/`` pin the random streams. A change that alters
-any of them is a change to a random stream and must be declared as such; to
-re-capture after such a change, run ``python tests/test_golden.py``.
+The files under ``tests/golden/`` pin the random streams and the global
+numbering. A change that alters any of them is a change to a random stream or
+to the numbering and must be declared as such.
+
+Runs under pytest, or without it as a script from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py          # compare, exit 1 on a mismatch
+    PYTHONPATH=src python tests/test_golden.py --write  # re-capture every file
 """
 
 from __future__ import annotations
@@ -12,15 +17,21 @@ import io
 import sys
 from pathlib import Path
 
-import pytest
-
 from tabcomp.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "2000"]
 
-CASES: dict[str, list[str]] = {
+_NUMBERED = {
+    "4x7": "1 2 4 7",
+    "20x20": " ".join(str(digit) for digit in range(20, 0, -1)),
+    "60x60": " ".join(str(7 * column % 61) for column in range(60)),
+}
+
+# An argv element that is a Path stands for that golden file's text, so each
+# ``unnumber`` case reads back the number its ``number`` case printed.
+CASES: dict[str, list[str | Path]] = {
     **{
         f"sweep_3x3_seed{seed}.{format}": _SWEEP_3X3 + ["--seed", str(seed), "--format", format]
         for seed in (42, 5, 9)
@@ -31,23 +42,44 @@ CASES: dict[str, list[str]] = {
         "sweep", "--shape", "16x16", "--counts", "1,2,4,8,16,32", "--trials", "80", "--seed", "1",
     ],
     "sample_seed7.doc": ["sample", str(GOLDEN / "relation_6x5.doc"), "--seed", "7"],
+    **{f"number_{shape}.txt": ["number", "--shape", shape, "--k", k] for shape, k in _NUMBERED.items()},
+    **{f"unnumber_{shape}.txt": ["unnumber", GOLDEN / f"number_{shape}.txt"] for shape in _NUMBERED},
 }
 
 
-def _stdout_of(argv: list[str]) -> bytes:
+def _run(argv: list[str | Path]) -> tuple[int, bytes]:
+    """Exit status and stdout bytes of one CLI run."""
+    argv = [arg.read_text().strip() if isinstance(arg, Path) else arg for arg in argv]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(argv)
-    assert code == 0
-    return buffer.getvalue().encode("utf-8")
+    return code, buffer.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_bytes(name):
-    assert _stdout_of(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert _run(CASES[name]) == (0, (GOLDEN / name).read_bytes())
 
 
 if __name__ == "__main__":
+    write = sys.argv[1:] == ["--write"]
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit(f"usage: {sys.argv[0]} [--write]")
+    mismatches = 0
+    # insertion order: each number file is written before its unnumber case reads it
     for name, argv in CASES.items():
-        (GOLDEN / name).write_bytes(_stdout_of(argv))
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        path = GOLDEN / name
+        code, output = _run(argv)
+        if code == 0 and write:
+            path.write_bytes(output)
+            print(f"wrote {path}", file=sys.stderr)
+        elif code != 0 or not path.exists() or output != path.read_bytes():
+            mismatches += 1
+            print(f"MISMATCH {path} (exit {code})", file=sys.stderr)
+    if not write:
+        print(f"{len(CASES) - mismatches} of {len(CASES)} golden files match", file=sys.stderr)
+    sys.exit(1 if mismatches else 0)

@@ -196,6 +196,19 @@ def test_relation_construction_and_views():
         RelationTable(TableShape(2, 2), (True, 0))
 
 
+def test_mark_validation_never_builds_a_row_mask():
+    # a (1 << m) - 1 mask for m = 10**30 cannot be built; reading the marks can
+    huge = RelationTable(TableShape(1, 10**30), (1,))
+    assert huge.mark_counts == (1,)
+    assert entropy(huge) == 0.0
+    assert RelationTable(TableShape(2, 3), (0b111, 0)).mark_counts == (3, 0)
+    with pytest.raises(ShapeError):
+        # a bit above row m
+        RelationTable(TableShape(2, 3), (0b1000, 0))
+    with pytest.raises(ShapeError):
+        RelationTable(TableShape(2, 3), (-1, 0))
+
+
 @given(tables())
 def test_function_relation_round_trip(table):
     relation = RelationTable.from_function(table)
