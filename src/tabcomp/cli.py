@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import random
-import re
 import sys
 from functools import reduce
 
 from . import __version__
-from .documents import TableDocument, parse_table_document, serialize_table_document
+from .documents import TableDocument, decimal_value, parse_table_document, serialize_table_document
 from .enumeration import (
     FunctionIndex,
     TableShape,
@@ -39,38 +38,35 @@ from .tables import decode, encode, evaluate, inverse_evaluate
 
 __all__ = ["main", "cli"]
 
-_SHAPE_PATTERN = re.compile(r"([0-9]+)x([0-9]+)")
+
+def _decimals(tokens: list[str], message: str) -> tuple[int, ...]:
+    """Each token's ``decimal_value``; a usage error when there is none or one is malformed."""
+    try:
+        values = tuple(decimal_value(token) for token in tokens)
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(message)
+    return values
 
 
 def _shape_argument(text: str) -> tuple[int, int]:
-    match = _SHAPE_PATTERN.fullmatch(text)
-    if match is None:
-        raise argparse.ArgumentTypeError(f"shape must look like '4x7', got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    pieces = text.split("x")
+    return _decimals(pieces if len(pieces) == 2 else [], f"shape must look like '4x7', got {text!r}")
 
 
 def _integer_argument(text: str) -> int:
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
-    return int(text)
+    (value,) = _decimals([text.removeprefix("-")], f"expected a decimal integer, got {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _digits_argument(text: str) -> tuple[int, ...]:
-    tokens = text.split()
-    if not tokens or not all(re.fullmatch(r"[0-9]+", token) for token in tokens):
-        raise argparse.ArgumentTypeError(
-            f"digits must be space-separated non-negative integers, got {text!r}"
-        )
-    return tuple(int(token) for token in tokens)
+    return _decimals(text.split(), f"digits must be space-separated non-negative integers, got {text!r}")
 
 
 def _counts_argument(text: str) -> tuple[int, ...]:
     tokens = [piece.strip() for piece in text.split(",")]
-    if not tokens or not all(re.fullmatch(r"[0-9]+", token) for token in tokens):
-        raise argparse.ArgumentTypeError(
-            f"counts must be comma-separated non-negative integers, got {text!r}"
-        )
-    return tuple(int(token) for token in tokens)
+    return _decimals(tokens, f"counts must be comma-separated non-negative integers, got {text!r}")
 
 
 def _read_document_bytes(path: str) -> bytes:
@@ -96,80 +92,70 @@ def _reject_repeated_stdin(paths: list[str]) -> None:
         raise ParseError("standard input '-' may appear at most once")
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     if document.kind != "function":
         raise DomainError("encode needs a function document")
     index = encode(document.table)
     print(" ".join(str(digit) for digit in index.digits))
-    return 0
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace) -> None:
     index = FunctionIndex(TableShape(*args.shape), args.k)
     sys.stdout.write(serialize_table_document(TableDocument(decode(index))))
-    return 0
 
 
-def _cmd_number(args: argparse.Namespace) -> int:
+def _cmd_number(args: argparse.Namespace) -> None:
     index = FunctionIndex(TableShape(*args.shape), args.k)
     print(function_number(index))
-    return 0
 
 
-def _cmd_unnumber(args: argparse.Namespace) -> int:
+def _cmd_unnumber(args: argparse.Namespace) -> None:
     index = function_from_number(args.number)
     print(f"shape {index.shape}")
     print("k " + " ".join(str(digit) for digit in index.digits))
-    return 0
 
 
-def _cmd_shape(args: argparse.Namespace) -> int:
+def _cmd_shape(args: argparse.Namespace) -> None:
     print(table_shape(args.number))
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> None:
     print(count_functions(TableShape(*args.shape)))
-    return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     if document.kind != "function":
         raise DomainError("eval needs a function document; use sample for relations")
     value = evaluate(document.table, args.arg)
     print("undefined" if value is None else value)
-    return 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
+def _cmd_inverse(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     if document.kind == "function":
         columns = inverse_evaluate(document.table, args.value)
     else:
         columns = inverse_evaluate_relation(document.table, args.value)
     print(" ".join(str(column) for column in columns))
-    return 0
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
+def _cmd_entropy(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     print(repr(entropy(document.table)))
-    return 0
 
 
-def _cmd_superpose(args: argparse.Namespace) -> int:
+def _cmd_superpose(args: argparse.Namespace) -> None:
     if len(args.files) < 2:
         raise ParseError("superpose needs at least two documents")
     _reject_repeated_stdin(args.files)
     tables = [_load_document(path).table for path in args.files]
     combined = reduce(superpose, tables)
     sys.stdout.write(serialize_table_document(TableDocument(combined)))
-    return 0
 
 
-def _cmd_contains(args: argparse.Namespace) -> int:
+def _cmd_contains(args: argparse.Namespace) -> None:
     _reject_repeated_stdin([args.relation, args.function])
     relation_document = _load_document(args.relation)
     function_document = _load_document(args.function)
@@ -177,31 +163,27 @@ def _cmd_contains(args: argparse.Namespace) -> int:
         raise DomainError("second document must be a function")
     held = contains(relation_document.table, function_document.table)
     print("true" if held else "false")
-    return 0
 
 
-def _cmd_contained_count(args: argparse.Namespace) -> int:
+def _cmd_contained_count(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     print(count_contained(document.table, args.mode))
-    return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
     table = sample_function(document.table, random.Random(args.seed))
     sys.stdout.write(serialize_table_document(TableDocument(table)))
-    return 0
 
 
-def _cmd_antidiag(args: argparse.Namespace) -> int:
+def _cmd_antidiag(args: argparse.Namespace) -> None:
     shape = TableShape(*args.shape)
     functions = [FunctionIndex(shape, digits) for digits in args.k]
     result = anti_diagonal(functions)
     print(" ".join(str(digit) for digit in result.digits))
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     config = ExperimentConfig(
         shape=TableShape(*args.shape),
         stored_counts=args.counts,
@@ -211,7 +193,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     report = run_sweep(config, workers=args.workers)
     sys.stdout.write(emit_report(report, args.format).decode("utf-8"))
-    return 0
 
 
 def _add_document_argument(parser: argparse.ArgumentParser) -> None:
@@ -228,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Enumerate, evaluate, superpose, and sweep finite function tables.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     encode_parser = sub.add_parser("encode", help="print the digit string of a function document")
     _add_document_argument(encode_parser)
@@ -332,23 +313,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns 0 on success, 1 on domain errors, 2 on bad input."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return handler(args)
+        args.handler(args)
     except ParseError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    return 0
 
 
 def cli() -> None:  # pragma: no cover

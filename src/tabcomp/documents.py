@@ -16,34 +16,22 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .enumeration import TableShape
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .relations import RelationTable
 from .tables import FunctionTable
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
 
+_DECIMAL = re.compile(r"[0-9]+")
 _Token = tuple[str, int]
 _Line = tuple[int, list[_Token]]
 
 
 @dataclass(frozen=True)
 class TableDocument:
-    """A parsed table plus optional in-memory argument and value names."""
+    """One parsed table, function or relation."""
 
     table: FunctionTable | RelationTable
-    arg_labels: dict[int, str] | None = None
-    value_labels: dict[int, str] | None = None
-
-    def __post_init__(self) -> None:
-        shape = self.table.shape
-        if self.arg_labels is not None:
-            for key in self.arg_labels:
-                if type(key) is not int or not 1 <= key <= shape.n:
-                    raise DomainError(f"argument label key {key!r} outside 1..{shape.n}")
-        if self.value_labels is not None:
-            for key in self.value_labels:
-                if type(key) is not int or not 1 <= key <= shape.m:
-                    raise DomainError(f"value label key {key!r} outside 1..{shape.m}")
 
     @property
     def shape(self) -> TableShape:
@@ -65,10 +53,22 @@ def _significant_lines(text: str) -> list[_Line]:
     return lines
 
 
-def _parse_int(token: str, line: int, column: int, what: str) -> int:
-    if not re.fullmatch(r"[0-9]+", token):
-        raise ParseError(f"{what} {token!r} is not a decimal integer", line=line, column=column)
+def decimal_value(token: str) -> int:
+    """The value of an ASCII decimal token: the one rule for numbers in documents and flags.
+
+    Any other token raises ValueError, as does one with more digits than
+    ``sys.get_int_max_str_digits()`` lets int() convert.
+    """
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"{token!r} is not a decimal integer")
     return int(token)
+
+
+def _parse_int(token: str, line: int, column: int, what: str) -> int:
+    try:
+        return decimal_value(token)
+    except ValueError as error:
+        raise ParseError(f"{what} {error}", line=line, column=column) from None
 
 
 def _reject_extra_lines(lines: list[_Line], used: int) -> None:

@@ -61,6 +61,21 @@ class TableShape:
         return f"{self.n}x{self.m}"
 
 
+def checked_digits(shape: TableShape, digits: Iterable[int]) -> tuple[int, ...]:
+    """The digit string of a function of ``shape`` as a tuple: n ints, each in 0..m.
+
+    The one validation rule for digit strings, shared by ``FunctionIndex`` and
+    ``tables.FunctionTable``; raises InvalidIndexError otherwise.
+    """
+    digits = tuple(digits)
+    if len(digits) != shape.n:
+        raise InvalidIndexError(f"expected {shape.n} digits for shape {shape}, got {len(digits)}")
+    for position, digit in enumerate(digits, start=1):
+        if type(digit) is not int or not 0 <= digit <= shape.m:
+            raise InvalidIndexError(f"digit {digit!r} at position {position} outside 0..{shape.m}")
+    return digits
+
+
 @dataclass(frozen=True)
 class FunctionIndex:
     """The digit string identifying one finite discrete function in its table.
@@ -74,16 +89,7 @@ class FunctionIndex:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) != self.shape.n:
-            raise InvalidIndexError(
-                f"expected {self.shape.n} digits for shape {self.shape}, got {len(self.digits)}"
-            )
-        for position, digit in enumerate(self.digits, start=1):
-            if type(digit) is not int or not 0 <= digit <= self.shape.m:
-                raise InvalidIndexError(
-                    f"digit {digit!r} at position {position} outside 0..{self.shape.m}"
-                )
+        object.__setattr__(self, "digits", checked_digits(self.shape, self.digits))
 
     def as_natural(self) -> int:
         """The digit string read as a natural number in base m+1."""
@@ -108,13 +114,9 @@ def diagonal_of_table(i: int) -> int:
     """The diagonal j on which table i lies: the unique j with max_fn(j-1) < i <= max_fn(j)."""
     if type(i) is not int or i < 1:
         raise DomainError(f"table number must be a positive integer, got {i!r}")
-    # Invert the triangular closed form, then correct by at most one step.
+    # The largest j with max_fn(j) <= i, by inverting the triangular closed form.
     j = (math.isqrt(8 * i + 1) - 1) // 2
-    while max_fn(j) < i:
-        j += 1
-    while j > 1 and max_fn(j - 1) >= i:
-        j -= 1
-    return j
+    return j if max_fn(j) == i else j + 1
 
 
 def table_shape(i: int) -> TableShape:

@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Literal
 
 from .enumeration import TableShape
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 ReportFormat = Literal["csv", "json"]
-
-_CSV_HEADER = ("S", "entropy", "contained_total", "precision_expected", "precision_observed")
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,12 @@ class SweepPoint:
     contained_total: int
     precision_expected: float
     precision_observed: float
+
+
+# the report codec's field table: names and readers in SweepPoint field order
+_FIELDS = tuple(field.name for field in fields(SweepPoint))
+_CONVERTERS = (int, float, int, float, float)
+_CSV_HEADER = ("S", *_FIELDS[1:])
 
 
 @dataclass(frozen=True)
@@ -172,67 +176,47 @@ def emit_report(report: ExperimentReport, format: ReportFormat = "csv") -> bytes
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for point in report.points:
-            writer.writerow(
-                [
-                    point.stored_count,
-                    repr(point.entropy),
-                    point.contained_total,
-                    repr(point.precision_expected),
-                    repr(point.precision_observed),
-                ]
-            )
+        writer.writerows(astuple(point) for point in report.points)
         return buffer.getvalue().encode("utf-8")
     if format == "json":
-        payload = [
-            {
-                "stored_count": point.stored_count,
-                "entropy": point.entropy,
-                "contained_total": point.contained_total,
-                "precision_expected": point.precision_expected,
-                "precision_observed": point.precision_observed,
-            }
-            for point in report.points
-        ]
+        payload = [asdict(point) for point in report.points]
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {format!r}")
 
 
+def _parse_point(values: list[object]) -> SweepPoint:
+    """A point from its field values in field order; a wrong field count or a
+    value its converter rejects is a ParseError."""
+    if len(values) != len(_CONVERTERS):
+        raise ParseError(f"expected {len(_CONVERTERS)} fields, got {len(values)}")
+    try:
+        return SweepPoint(*(convert(value) for convert, value in zip(_CONVERTERS, values)))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ParseError(f"bad report field: {error}") from None
+
+
 def parse_report(data: bytes, format: ReportFormat = "csv") -> ExperimentReport:
-    """Inverse of emit_report for both formats."""
-    text = data.decode("utf-8")
+    """Inverse of emit_report for both formats; malformed data raises ParseError."""
+    if format not in ("csv", "json"):
+        raise ConfigError(f"unknown report format {format!r}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(f"report is not UTF-8: {error}") from None
     if format == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as error:
+            raise ParseError(f"invalid CSV report: {error}") from None
         if not rows or tuple(rows[0]) != _CSV_HEADER:
             raise ParseError(f"expected header {','.join(_CSV_HEADER)}")
-        points = []
-        for row in rows[1:]:
-            if len(row) != len(_CSV_HEADER):
-                raise ParseError(f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
-            points.append(
-                SweepPoint(
-                    stored_count=int(row[0]),
-                    entropy=float(row[1]),
-                    contained_total=int(row[2]),
-                    precision_expected=float(row[3]),
-                    precision_observed=float(row[4]),
-                )
-            )
-        return ExperimentReport(tuple(points))
-    if format == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ParseError(f"invalid JSON report: {error}") from None
-        points = [
-            SweepPoint(
-                stored_count=int(entry["stored_count"]),
-                entropy=float(entry["entropy"]),
-                contained_total=int(entry["contained_total"]),
-                precision_expected=float(entry["precision_expected"]),
-                precision_observed=float(entry["precision_observed"]),
-            )
-            for entry in payload
-        ]
-        return ExperimentReport(tuple(points))
-    raise ConfigError(f"unknown report format {format!r}")
+        return ExperimentReport(tuple(_parse_point(row) for row in rows[1:]))
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise ParseError(f"invalid JSON report: {error}") from None
+    if type(payload) is not list or not all(type(entry) is dict for entry in payload):
+        raise ParseError("JSON report must be a list of objects")
+    return ExperimentReport(
+        tuple(_parse_point([entry[name] for name in _FIELDS if name in entry]) for entry in payload)
+    )

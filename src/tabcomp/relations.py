@@ -7,7 +7,8 @@ at row j is marked), so superposition, containment, and row extraction reduce
 to word-level boolean operations applied column-parallel.
 
 Evaluating a relation at an argument picks one of that column's marked rows
-uniformly at random; the per-argument indeterminacy is summarized by the
+uniformly at random, from the same splitmix64 substream that column uses in
+``sample_function``; the per-argument indeterminacy is summarized by the
 computational entropy e = (1/n) * sum(log2(v_i)) over non-empty columns, which
 is 0 exactly for (partial) functions and at most log2(m).
 """
@@ -132,14 +133,18 @@ def entropy(relation: RelationTable | FunctionTable) -> float:
 def random_evaluate(
     relation: RelationTable | FunctionTable, argument: int, randomness: random.Random
 ) -> int | None:
-    """One marked row of the argument's column, chosen uniformly; None when empty."""
+    """One marked row of the argument's column, chosen uniformly; None when empty.
+
+    Draws exactly as column ``argument`` of ``sample_function`` does: one 64-bit
+    base from ``randomness``, taken even for an empty column, then the column's
+    substream.
+    """
     relation = _as_relation(relation)
     if type(argument) is not int or not 1 <= argument <= relation.shape.n:
         raise DomainError(f"argument {argument!r} outside columns 1..{relation.shape.n}")
+    base = randomness.getrandbits(64)
     rows = relation.rows_by_column[argument - 1]
-    if not rows:
-        return None
-    return rows[randomness.randrange(len(rows))]
+    return rows[uniform_index(substream_seed(base, argument - 1), len(rows))] if rows else None
 
 
 def sample_function(

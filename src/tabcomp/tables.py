@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import FunctionIndex, TableShape
-from .errors import DomainError, InvalidIndexError
+from .enumeration import FunctionIndex, TableShape, checked_digits
+from .errors import DomainError
 
 __all__ = ["FunctionTable", "encode", "decode", "evaluate", "inverse_evaluate"]
 
@@ -28,16 +28,7 @@ class FunctionTable:
     marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "marks", tuple(self.marks))
-        if len(self.marks) != self.shape.n:
-            raise InvalidIndexError(
-                f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.marks)}"
-            )
-        for column, row in enumerate(self.marks, start=1):
-            if type(row) is not int or not 0 <= row <= self.shape.m:
-                raise InvalidIndexError(
-                    f"mark {row!r} in column {column} outside rows 0..{self.shape.m}"
-                )
+        object.__setattr__(self, "marks", checked_digits(self.shape, self.marks))
 
     @property
     def is_total(self) -> bool:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from tabcomp.cli import main
 
@@ -101,6 +104,16 @@ def test_entropy_of_a_relation_with_huge_m(capsys, tmp_path):
     path = tmp_path / "huge_m.doc"
     path.write_text("table 1 1000000000000000000000000000000 relation\ncol 1: 1\n")
     assert run_cli(capsys, ["entropy", str(path)]) == (0, "0.0\n", "")
+
+
+def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
+    # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
+    path = tmp_path / "long_n.doc"
+    path.write_text("table " + "1" * 5000 + " 2 relation\ncol 1:\n")
+    code, out, err = run_cli(capsys, ["entropy", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1, column 7: ")
+    assert run_cli(capsys, ["unnumber", "1" * 5000])[0] == 2
 
 
 def test_superpose(capsys, docs):
@@ -236,3 +249,80 @@ def test_success_leaves_stderr_empty(capsys, docs):
     code, _, err = run_cli(capsys, ["entropy", docs["rel32"]])
     assert code == 0
     assert err == ""
+
+
+# Fuzzed argv: each subcommand with its real arguments, some dropped, plus a
+# few pieces meant for other subcommands, in any order. Every number has at
+# most two digits, because count and number on huge shapes still do unbounded work.
+_SMALL = st.integers(0, 4) | st.integers(-9, 99)
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, str(value)])
+
+
+def _joined(separator):
+    return st.lists(_SMALL, min_size=1, max_size=4).map(lambda ks: separator.join(map(str, ks)))
+
+
+_DOC = st.sampled_from(sorted(DOC_TEXTS) + ["-", "/nonexistent/missing.doc"]).map(
+    lambda name: [name if name.startswith(("-", "/")) else "{" + name + "}"]
+)
+_NUMBER = _SMALL.map(lambda k: [str(k)])
+_SHAPE = _flag("--shape", st.tuples(_SMALL, _SMALL).map(lambda nm: "%dx%d" % nm))
+_K = _flag("--k", _joined(" "))
+_SEED = _flag("--seed", _SMALL)
+_ARGUMENTS = {
+    "encode": [_DOC],
+    "decode": [_SHAPE, _K],
+    "number": [_SHAPE, _K],
+    "unnumber": [_NUMBER],
+    "shape": [_NUMBER],
+    "count": [_SHAPE],
+    "eval": [_DOC, _flag("--arg", _SMALL)],
+    "inverse": [_DOC, _flag("--value", _SMALL)],
+    "entropy": [_DOC],
+    "superpose": [_DOC, _DOC, _DOC],
+    "contains": [_DOC, _DOC],
+    "contained-count": [
+        _DOC, _flag("--mode", st.sampled_from(["total-on-support", "including-partial", "x"])),
+    ],
+    "sample": [_DOC, _SEED],
+    "antidiag": [_SHAPE, _K, _K],
+    "sweep": [
+        _SHAPE, _flag("--counts", _joined(",")), _flag("--trials", _SMALL), _SEED,
+        _flag("--format", st.sampled_from(["csv", "json", "xml"])), _flag("--workers", _SMALL),
+        st.sampled_from([["--distinct"], ["--no-distinct"]]),
+    ],
+}
+_STRAY = (
+    st.sampled_from([piece for pieces in _ARGUMENTS.values() for piece in pieces]).flatmap(
+        lambda piece: piece
+    )
+    | st.sampled_from([["--version"], ["nosuchcommand"]])
+    | st.text(st.characters(blacklist_characters="0123456789{}"), max_size=4).map(
+        lambda text: [text]
+    )
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    pieces = [draw(piece) for piece in _ARGUMENTS[command] if draw(st.integers(0, 9))]
+    pieces = draw(st.permutations(pieces + draw(st.lists(_STRAY, max_size=2))))
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_argvs(), st.sampled_from(list(DOC_TEXTS.values()) + ["", "table 2 2\n", "\udcff"]))
+def test_fuzzed_argv_exits_0_1_or_2(docs, argv, stdin):
+    argv = [token.format(**docs) for token in argv]
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8", "surrogateescape")))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from tabcomp import (
-    DomainError,
     FunctionTable,
     ParseError,
     RelationTable,
@@ -87,6 +87,32 @@ def test_error_positions_report_the_offending_token():
     assert _position_of("table 2 2 relation\ncol 1: 1") == (3, 1)
 
 
+def test_number_past_the_int_digit_limit_is_malformed():
+    # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
+    assert _position_of("table " + "1" * 5000 + " 2 relation\ncol 1:\n") == (1, 7)
+    assert _position_of("table 1 2 function\n" + "0" * 5000) == (2, 1)
+
+
+@given(st.text() | st.binary())
+def test_arbitrary_input_raises_only_parse_error(data):
+    try:
+        parse_table_document(data)
+    except ParseError:
+        pass
+
+
+# document-shaped token soup, every number at most 2 digits, to get past the header
+_TOKENS = ["table", "function", "relation", "col", "1:", "2:", "#", "\n", " ", "x", "\uff11"]
+
+
+@given(st.lists(st.sampled_from(_TOKENS) | st.integers(0, 99).map(str), max_size=30))
+def test_document_shaped_input_raises_only_parse_error(tokens):
+    try:
+        parse_table_document(" ".join(tokens))
+    except ParseError:
+        pass
+
+
 def test_error_position_is_in_the_message():
     with pytest.raises(ParseError, match="line 2, column 1"):
         parse_table_document("table 2 2 function\n3 0")
@@ -113,16 +139,6 @@ def test_function_documents_round_trip(table):
 def test_relation_documents_round_trip(relation):
     document = TableDocument(relation)
     assert parse_table_document(serialize_table_document(document)) == document
-
-
-def test_labels_are_validated_and_stay_in_memory():
-    table = FunctionTable(TableShape(2, 3), (1, 3))
-    document = TableDocument(table, arg_labels={1: "x", 2: "y"}, value_labels={3: "high"})
-    assert serialize_table_document(document) == serialize_table_document(TableDocument(table))
-    with pytest.raises(DomainError):
-        TableDocument(table, arg_labels={3: "z"})
-    with pytest.raises(DomainError):
-        TableDocument(table, value_labels={0: "none"})
 
 
 def test_document_views():

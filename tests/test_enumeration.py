@@ -69,6 +69,22 @@ def test_diagonal_of_table_small_values():
     assert diagonal_of_table(52) == 10
 
 
+def test_diagonal_of_table_is_the_smallest_covering_diagonal():
+    j = 1
+    for i in range(1, 20_001):
+        while max_fn(j) < i:
+            j += 1
+        assert diagonal_of_table(i) == j
+
+
+@given(st.integers(2, 10**15))
+def test_diagonal_of_table_at_diagonal_boundaries(j):
+    # table max_fn(j) ends diagonal j; the one after it starts diagonal j + 1
+    assert diagonal_of_table(max_fn(j) - 1) == j
+    assert diagonal_of_table(max_fn(j)) == j
+    assert diagonal_of_table(max_fn(j) + 1) == j + 1
+
+
 def test_diagonal_of_table_rejects_non_positive():
     with pytest.raises(DomainError):
         diagonal_of_table(0)

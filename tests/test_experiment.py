@@ -170,16 +170,40 @@ def test_emit_rejects_unknown_format():
         parse_report(b"", "xml")
 
 
+HEADER = b"S,entropy,contained_total,precision_expected,precision_observed\n"
+
+
+MALFORMED_REPORTS = [
+    (b"no,such,header\n", "csv"),
+    (HEADER + b"1,0.0\n", "csv"),
+    (b"{not json", "json"),
+    (b"{}", "json"),
+    (b"5", "json"),
+    (b'[{"x": 1}]', "json"),
+    (b'[{"stored_count": 1, "entropy": 0.0, "contained_total": 1, '
+     b'"precision_expected": 1.0, "precision_observed": "high"}]', "json"),
+    (b'[{"stored_count": Infinity, "entropy": 0.0, "contained_total": 1, '
+     b'"precision_expected": 1.0, "precision_observed": 1.0}]', "json"),
+    (b"[" * 100_000, "json"),
+    (b"\xff", "json"),
+    (b"\xff", "csv"),
+    (HEADER + b"abc,0.0,1,1.0,1.0\n", "csv"),
+    (HEADER + b"1,0.0,1,1.0,1.0,extra\n", "csv"),
+]
+
+
 def test_parse_report_rejects_malformed_text():
-    with pytest.raises(ParseError):
-        parse_report(b"no,such,header\n", "csv")
-    with pytest.raises(ParseError):
-        parse_report(
-            b"S,entropy,contained_total,precision_expected,precision_observed\n1,0.0\n",
-            "csv",
-        )
-    with pytest.raises(ParseError):
-        parse_report(b"{not json", "json")
+    for data, format in MALFORMED_REPORTS:
+        with pytest.raises(ParseError):
+            parse_report(data, format)
+
+
+@given(st.binary() | st.text().map(str.encode), st.sampled_from(["csv", "json"]))
+def test_parse_report_raises_only_parse_error(data, format):
+    try:
+        parse_report(data, format)
+    except ParseError:
+        pass
 
 
 def test_report_points_are_plain_records():

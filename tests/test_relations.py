@@ -251,6 +251,19 @@ def test_random_evaluate_returns_only_marked_rows():
                 assert bits >> (row - 1) & 1
 
 
+@given(
+    relations().flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r.shape.n))),
+    st.integers(0, 2**64 - 1),
+)
+@example((RelationTable.from_rows(TableShape(2, 3), [[], [1, 3]]), 1), 0)
+def test_random_evaluate_draws_as_sample_function_column(relation_and_argument, seed):
+    relation, argument = relation_and_argument
+    evaluated, sampled = random.Random(seed), random.Random(seed)
+    row = random_evaluate(relation, argument, evaluated)
+    assert row == (sample_function(relation, sampled).marks[argument - 1] or None)
+    assert evaluated.getstate() == sampled.getstate()
+
+
 def test_sample_function_is_uniform_on_full_square():
     relation = RelationTable.from_rows(TableShape(2, 2), [[1, 2], [1, 2]])
     randomness = random.Random(2024)
