@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 from . import __version__
 from .documents import TableDocument, decimal_value, parse_table_document, serialize_table_document
@@ -203,6 +203,7 @@ def _add_shape_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shape", type=_shape_argument, required=True, help="table shape, e.g. 4x7")
 
 
+@cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabcomp",

@@ -11,6 +11,7 @@ token. Serialization is the exact inverse of parsing.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Literal
@@ -23,8 +24,13 @@ from .tables import FunctionTable
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
 
 _DECIMAL = re.compile(r"[0-9]+")
+_TOKEN = re.compile(r"\S+")
 _Token = tuple[str, int]
-_Line = tuple[int, list[_Token]]
+_Line = tuple[int, str]
+
+# Each relation column is an int with one bit per row up to its highest mark, so
+# a relation document's highest marked rows, summed over its columns, stay at most this.
+MAX_MARK_BITS = 2**26
 
 
 @dataclass(frozen=True)
@@ -43,14 +49,18 @@ class TableDocument:
 
 
 def _significant_lines(text: str) -> list[_Line]:
-    """Token lists with 1-based columns, comments stripped, blank lines dropped."""
+    """(line number, body) of each line with a token, comments stripped."""
     lines: list[_Line] = []
     for number, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [(match.group(), match.start() + 1) for match in re.finditer(r"\S+", body)]
-        if tokens:
-            lines.append((number, tokens))
+        if body and not body.isspace():
+            lines.append((number, body))
     return lines
+
+
+def _tokens(body: str) -> list[_Token]:
+    """The tokens of a line body with their 1-based columns."""
+    return [(match.group(), match.start() + 1) for match in _TOKEN.finditer(body)]
 
 
 def decimal_value(token: str) -> int:
@@ -73,9 +83,9 @@ def _parse_int(token: str, line: int, column: int, what: str) -> int:
 
 def _reject_extra_lines(lines: list[_Line], used: int) -> None:
     if len(lines) > used:
-        line_number, tokens = lines[used]
+        line_number, body = lines[used]
         raise ParseError(
-            "unexpected content after table", line=line_number, column=tokens[0][1]
+            "unexpected content after table", line=line_number, column=_tokens(body)[0][1]
         )
 
 
@@ -84,7 +94,8 @@ def _parse_header(lines: list[_Line]) -> tuple[TableShape, str]:
         raise ParseError(
             "empty document, expected 'table <n> <m> <function|relation>'", line=1, column=1
         )
-    line_number, tokens = lines[0]
+    line_number, body = lines[0]
+    tokens = _tokens(body)
     keyword, column = tokens[0]
     if keyword != "table":
         raise ParseError(f"expected 'table', got {keyword!r}", line=line_number, column=column)
@@ -121,7 +132,8 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
         raise ParseError(
             f"expected a line of {shape.n} digits", line=header_line + 1, column=1
         )
-    line_number, tokens = lines[1]
+    line_number, body = lines[1]
+    tokens = _tokens(body)
     if len(tokens) != shape.n:
         column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
         raise ParseError(
@@ -139,43 +151,65 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
     return FunctionTable(shape, tuple(marks))
 
 
+def _checked_rows(line_number: int, body: str, index: int, m: int, room: int) -> list[int]:
+    """The rows of column ``index``'s line, token by token; the first bad token raises."""
+    tokens = _tokens(body)
+    keyword, column = tokens[0]
+    if keyword != "col":
+        raise ParseError(f"expected 'col', got {keyword!r}", line=line_number, column=column)
+    if len(tokens) < 2:
+        raise ParseError(
+            f"expected column index '{index}:' after 'col'", line=line_number, column=column
+        )
+    label, label_column = tokens[1]
+    if label != f"{index}:":
+        raise ParseError(
+            f"expected '{index}:', got {label!r}", line=line_number, column=label_column
+        )
+    rows: list[int] = []
+    for token, token_column in tokens[2:]:
+        row = _parse_int(token, line_number, token_column, "row")
+        if not 1 <= row <= m:
+            raise ParseError(f"row {row} outside 1..{m}", line=line_number, column=token_column)
+        if rows and row <= rows[-1]:
+            raise ParseError(
+                f"rows must be strictly ascending, got {row} after {rows[-1]}",
+                line=line_number,
+                column=token_column,
+            )
+        if row > room:
+            message = f"row {row} takes the marked rows past {MAX_MARK_BITS} bits"
+            raise ParseError(message, line=line_number, column=token_column)
+        rows.append(row)
+    return rows
+
+
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
-    columns: list[list[int]] = []
+    columns: list[int] = []
+    room = MAX_MARK_BITS
     for index in range(1, shape.n + 1):
         if len(lines) < index + 1:
             raise ParseError(
                 f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1
             )
-        line_number, tokens = lines[index]
-        keyword, column = tokens[0]
-        if keyword != "col":
-            raise ParseError(f"expected 'col', got {keyword!r}", line=line_number, column=column)
-        if len(tokens) < 2:
-            raise ParseError(
-                f"expected column index '{index}:' after 'col'", line=line_number, column=column
-            )
-        label, label_column = tokens[1]
-        if label != f"{index}:":
-            raise ParseError(
-                f"expected '{index}:', got {label!r}", line=line_number, column=label_column
-            )
-        rows: list[int] = []
-        for token, token_column in tokens[2:]:
-            row = _parse_int(token, line_number, token_column, "row")
-            if not 1 <= row <= shape.m:
-                raise ParseError(
-                    f"row {row} outside 1..{shape.m}", line=line_number, column=token_column
-                )
-            if rows and row <= rows[-1]:
-                raise ParseError(
-                    f"rows must be strictly ascending, got {row} after {rows[-1]}",
-                    line=line_number,
-                    column=token_column,
-                )
-            rows.append(row)
-        columns.append(rows)
+        line_number, body = lines[index]
+        # C-level checks pass a well-formed line; the token path positions any error
+        words = body.split()
+        digits = "".join(words[2:])
+        try:
+            rows = list(map(int, words[2:])) if digits.isascii() and digits.isdigit() else []
+        except ValueError:  # more digits than int() converts
+            rows = []
+        fits = rows and 1 <= rows[0] and rows[-1] <= min(shape.m, room)
+        if not (fits and words[:2] == ["col", f"{index}:"] and all(map(operator.lt, rows, rows[1:]))):
+            rows = _checked_rows(line_number, body, index, shape.m, room)
+        room -= rows[-1] if rows else 0
+        bits = 0
+        for row in rows:
+            bits |= 1 << (row - 1)
+        columns.append(bits)
     _reject_extra_lines(lines, shape.n + 1)
-    return RelationTable.from_rows(shape, columns)
+    return RelationTable(shape, tuple(columns))
 
 
 def parse_table_document(text: str | bytes) -> TableDocument:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from tabcomp import cli
 from tabcomp.cli import main
 
 F1247 = "table 4 7 function\n1 2 4 7\n"
@@ -114,6 +117,21 @@ def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: line 1, column 7: ")
     assert run_cli(capsys, ["unnumber", "1" * 5000])[0] == 2
+
+
+@pytest.mark.parametrize("row", ["200000000", "999999999999"])
+def test_rows_past_the_mark_bound_exit_2_within_1_mb(capsys, tmp_path, row):
+    path = tmp_path / "high_row.doc"
+    path.write_text(f"table 1 {10**30} relation\ncol 1: {row}\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["entropy", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 2, column 8: row {row} takes the marked rows past ")
+    assert peak <= 1 << 20
 
 
 def test_superpose(capsys, docs):
@@ -243,6 +261,35 @@ def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, e
     code, _, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == expected
     assert err != ""
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, docs):
+    assert cli._build_parser() is cli._build_parser()
+    order = list(range(len(EXIT_CORPUS))) * 2
+    random.Random(5).shuffle(order)
+    results = {}
+    for case in order:
+        argv_template, stdin, _ = EXIT_CORPUS[case]
+        argv = [piece.format(**docs) for piece in argv_template]
+        results.setdefault(case, []).append(run_cli(capsys, argv, stdin, monkeypatch))
+    assert all(first == second for first, second in results.values())
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, docs):
+    calls = [
+        ["nosuchcommand"],
+        ["entropy", docs["full22"]],
+        ["--version"],
+        ["eval", docs["f1247"], "--arg", "x"],
+        ["--version"],
+        ["decode", "--shape", "2x2", "--k", "1 2"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()  # what a new process starts from
+        fresh.append(run_cli(capsys, argv))
+    assert [run_cli(capsys, argv) for argv in calls] == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 0, 0]
 
 
 def test_success_leaves_stderr_empty(capsys, docs):

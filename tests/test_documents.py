@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+import sys
+import tracemalloc
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from tabcomp import (
     FunctionTable,
@@ -12,6 +17,7 @@ from tabcomp import (
     RelationTable,
     TableDocument,
     TableShape,
+    documents,
     parse_table_document,
     serialize_table_document,
 )
@@ -93,6 +99,36 @@ def test_number_past_the_int_digit_limit_is_malformed():
     assert _position_of("table 1 2 function\n" + "0" * 5000) == (2, 1)
 
 
+def _peak_bytes(call):
+    """The tracemalloc peak while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("row", ["200000000", "999999999999"])
+def test_rows_past_the_mark_bound_are_malformed_within_1_mb(row):
+    # without the bound, the mark 1 << (row - 1) takes row / 8 bytes
+    text = f"table 1 {10**30} relation\ncol 1: {row}\n"
+    positions = []
+    assert _peak_bytes(lambda: positions.append(_position_of(text))) <= 1 << 20
+    assert positions == [(2, 8)]
+    with pytest.raises(ParseError, match=f"row {row} takes the marked rows past 67108864 bits"):
+        parse_table_document(text)
+
+
+def test_the_mark_bound_sums_the_highest_row_of_each_column():
+    bound = documents.MAX_MARK_BITS
+    at_bound = f"table 2 {bound} relation\ncol 1: 1 {bound // 2}\ncol 2: 3 {bound // 2}\n"
+    assert parse_table_document(at_bound).table.mark_counts == (2, 2)
+    assert _position_of(at_bound.replace(f"3 {bound // 2}", f"3 {bound // 2 + 1}")) == (3, 10)
+    # the error names the first row past the bound, not the last
+    assert _position_of(f"table 1 {10**30} relation\ncol 1: 1 {bound} {bound + 1} 0\n") == (2, 19)
+
+
 @given(st.text() | st.binary())
 def test_arbitrary_input_raises_only_parse_error(data):
     try:
@@ -111,6 +147,123 @@ def test_document_shaped_input_raises_only_parse_error(tokens):
         parse_table_document(" ".join(tokens))
     except ParseError:
         pass
+
+
+def _token_by_token_relation_body(lines, shape):
+    """The relation grammar checked one token at a time, plus the mark bound:
+    the oracle for the fast path of ``documents._parse_relation_body``. ``lines``
+    hold (line number, [(token, 1-based column), ...]) pairs."""
+    columns = []
+    room = documents.MAX_MARK_BITS
+    for index in range(1, shape.n + 1):
+        if len(lines) < index + 1:
+            raise ParseError(f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1)
+        line_number, tokens = lines[index]
+        keyword, column = tokens[0]
+        if keyword != "col":
+            raise ParseError(f"expected 'col', got {keyword!r}", line=line_number, column=column)
+        if len(tokens) < 2:
+            raise ParseError(
+                f"expected column index '{index}:' after 'col'", line=line_number, column=column
+            )
+        label, label_column = tokens[1]
+        if label != f"{index}:":
+            raise ParseError(
+                f"expected '{index}:', got {label!r}", line=line_number, column=label_column
+            )
+        rows = []
+        for token, token_column in tokens[2:]:
+            row = documents._parse_int(token, line_number, token_column, "row")
+            if not 1 <= row <= shape.m:
+                raise ParseError(
+                    f"row {row} outside 1..{shape.m}", line=line_number, column=token_column
+                )
+            if rows and row <= rows[-1]:
+                raise ParseError(
+                    f"rows must be strictly ascending, got {row} after {rows[-1]}",
+                    line=line_number,
+                    column=token_column,
+                )
+            if row > room:
+                raise ParseError(
+                    f"row {row} takes the marked rows past {documents.MAX_MARK_BITS} bits",
+                    line=line_number,
+                    column=token_column,
+                )
+            rows.append(row)
+        room -= rows[-1] if rows else 0
+        columns.append(rows)
+    if len(lines) > shape.n + 1:
+        line_number, tokens = lines[shape.n + 1]
+        raise ParseError("unexpected content after table", line=line_number, column=tokens[0][1])
+    return RelationTable.from_rows(shape, columns)
+
+
+def _token_by_token_parse(text):
+    token_lines = []
+    for number, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = [(match.group(), match.start() + 1) for match in re.finditer(r"\S+", body)]
+        if tokens:
+            token_lines.append((number, tokens))
+    shape, _ = documents._parse_header(documents._significant_lines(text))
+    return TableDocument(_token_by_token_relation_body(token_lines, shape))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as error:
+        return str(error), error.line, error.column
+
+
+_SEPARATORS = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\x1c", "\xa0", "\u3000"]), min_size=1, max_size=2
+).map("".join)
+# past sys.get_int_max_str_digits(), int() refuses the token
+_ODD_ROWS = ["007", "\u0661", "\u00b2", "x", "1" * (sys.get_int_max_str_digits() + 1)]
+
+
+@st.composite
+def relation_texts(draw):
+    """Relation documents, mostly well formed, with the ways a line can go wrong:
+    odd separators, comments, blank lines, bad labels, rows 0 and m + 1, Unicode
+    digits, descending and repeated rows, huge tokens, missing and extra lines."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    lines = [f"table {n} {m} relation"]
+    for index in range(1, n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))):
+        rows = [str(row) for row in sorted(draw(st.sets(st.integers(1, m), max_size=6)))]
+        fault = draw(st.integers(0, 9))
+        if fault == 1:
+            rows.insert(0, "0")
+        elif fault == 2:
+            rows.append(str(m + 1))
+        elif fault == 3:
+            rows += rows[-1:]
+        elif fault == 4:
+            rows.reverse()
+        elif fault == 5:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_ODD_ROWS)))
+        head = ["col", f"{index}:"]
+        if fault == 6:
+            head = draw(st.sampled_from([[], ["col"], ["row", f"{index}:"], ["col", f"{index + 1}:"]]))
+        tokens = head + rows
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for token in tokens:
+            line += token + draw(_SEPARATORS)
+        lines.append(line + draw(st.sampled_from(["", "# note", "#1 2"])))
+        lines += draw(st.lists(st.sampled_from(["", "\u3000", "# comment"]), max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(relation_texts(), st.sampled_from([documents.MAX_MARK_BITS, 2, 9, 20]))
+@example("table 1 3 relation\ncol 1: 2 2\n", documents.MAX_MARK_BITS)
+@example("table 1 3 relation\ncol 1: \u0661\n", documents.MAX_MARK_BITS)
+@example("table 2 9 relation\ncol 1: 1 5\ncol 2: 6\n", 9)
+@settings(max_examples=400)
+def test_relation_parser_matches_token_by_token_parse(text, bound):
+    with mock.patch.object(documents, "MAX_MARK_BITS", bound):
+        assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
 
 
 def test_error_position_is_in_the_message():
