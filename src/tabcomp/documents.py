@@ -28,8 +28,9 @@ _TOKEN = re.compile(r"\S+")
 _Token = tuple[str, int]
 _Line = tuple[int, str]
 
-# Each relation column is an int with one bit per row up to its highest mark, so
-# a relation document's highest marked rows, summed over its columns, stay at most this.
+# A column becomes an int with one bit per row up to its highest mark, so a
+# document's highest marked rows (a function's digits), summed over its columns,
+# stay at most this.
 MAX_MARK_BITS = 2**26
 
 
@@ -140,12 +141,17 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
             f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
         )
     marks = []
+    room = MAX_MARK_BITS
     for token, column in tokens:
         digit = _parse_int(token, line_number, column, "digit")
         if digit > shape.m:
             raise ParseError(
                 f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
             )
+        if digit > room:
+            message = f"digit {digit} takes the marked rows past {MAX_MARK_BITS} bits"
+            raise ParseError(message, line=line_number, column=column)
+        room -= digit
         marks.append(digit)
     _reject_extra_lines(lines, 2)
     return FunctionTable(shape, tuple(marks))

@@ -8,8 +8,9 @@ stored ones, both in closed form and as an observed frequency over repeated
 trials.
 
 All randomness is derived from the one seed in the config: the master
-sequence from one substream, each point's trials from a substream keyed by
-point position. Points therefore never share generator state, and the report
+sequence from one splitmix64 substream, drawn as one batch of a sparse partial
+Fisher–Yates shuffle, and each point's trials from a substream keyed by point
+position. Points therefore never share generator state, and the report
 depends only on the config. Points run one after another, on relations that
 one pass over the master sequence snapshots at each S; a point's trials are
 counted column by column across all trials (``count_hits``), which draws the
@@ -24,12 +25,13 @@ import io
 import json
 import random
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import chain, product
 from typing import Literal
 
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError
 from .relations import RelationTable, count_contained, count_hits, entropy
-from .streams import substream_seed
+from .streams import substream_indices, substream_seed
 from .tables import FunctionTable
 
 __all__ = [
@@ -97,33 +99,47 @@ class ExperimentReport:
         object.__setattr__(self, "points", tuple(self.points))
 
 
+def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
+    """Each index's n base-m digits plus one, most significant first. Each level
+    halves every piece at ``m ** size``, so n digits decode in sub-quadratic
+    time, until pieces ``width`` digits wide are read off a table of at most 1024."""
+    n, m, width = shape.n, shape.m, 1
+    while width < n and m ** (width + 1) <= 1024:
+        width += 1
+    span = width
+    while span < n:
+        span *= 2
+    pieces, size = indices, span
+    while size > width:
+        size //= 2
+        power = m**size
+        pieces = [part for piece in pieces for part in divmod(piece, power)]
+    if m > 1024:
+        digits = [piece + 1 for piece in pieces]
+    else:
+        table = list(product(range(1, m + 1), repeat=width))
+        digits = list(chain.from_iterable(map(table.__getitem__, pieces)))
+    return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
+
+
 def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
     """The stored functions, drawn up-front; point S uses the first S of them.
 
-    Total functions with digits uniform in 1..m; with distinct=True repeats
-    are rejected so the prefix of length S is a set of size S. Digits are
-    drawn inline exactly as ``randrange(1, m + 1)`` draws them on CPython 3.10-3.13.
+    Draw i is ``uniform_index(substream_seed(substream_seed(seed, 0), i), count)``
+    over function indices range(N), N = m**n. With distinct=True the count is
+    N - i and the draws run a sparse partial Fisher–Yates shuffle, the dict
+    holding only the swapped slots, so every prefix is a uniform sequence
+    without repeats; with distinct=False the count is N and a draw is an index.
     """
-    randomness = random.Random(substream_seed(config.seed, 0))
-    n, m = config.shape.n, config.shape.m
-    getrandbits, k = randomness.getrandbits, m.bit_length()
-    needed = max(config.stored_counts)
-    sequence: list[FunctionTable] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(sequence) < needed:
-        digits = [0] * n
-        for index in range(n):
-            r = getrandbits(k)
-            while r >= m:
-                r = getrandbits(k)
-            digits[index] = r + 1
-        marks = tuple(digits)
-        if config.distinct:
-            if marks in seen:
-                continue
-            seen.add(marks)
-        sequence.append(FunctionTable(config.shape, marks))
-    return sequence
+    total, needed = config.shape.m**config.shape.n, max(config.stored_counts)
+    counts = range(total, total - needed, -1) if config.distinct else [total] * needed
+    indices = substream_indices([substream_seed(config.seed, 0)] * needed, range(needed), counts)
+    if config.distinct:
+        swapped: dict[int, int] = {}
+        for slot, draw in enumerate(indices):
+            indices[slot] = swapped.get(slot + draw, slot + draw)
+            swapped[slot + draw] = swapped.get(slot, slot)
+    return [FunctionTable(config.shape, marks) for marks in _marks(indices, config.shape)]
 
 
 def _run_point(

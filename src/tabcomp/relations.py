@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 from .enumeration import TableShape
 from .errors import DomainError, ShapeError
-from .streams import substream_seed, uniform_index
+from .streams import substream_indices, substream_seed, uniform_index
 from .tables import FunctionTable
 
 __all__ = [
@@ -113,6 +113,13 @@ class RelationTable:
         return FunctionTable(self.shape, tuple(bits.bit_length() for bits in self.columns))
 
 
+def _check_shapes(shape: TableShape, *others: TableShape) -> None:
+    for other in others:
+        # identity first: a sweep's tables all share one shape object
+        if other is not shape and other != shape:
+            raise ShapeError(f"shape mismatch: {shape} vs {other}")
+
+
 def _as_relation(table: RelationTable | FunctionTable) -> RelationTable:
     if isinstance(table, FunctionTable):
         return RelationTable.from_function(table)
@@ -157,14 +164,12 @@ def sample_function(
     order; per-column choices use masked rejection and are exactly uniform.
     """
     relation = _as_relation(relation)
-    base = randomness.getrandbits(64)
-    marks = []
-    for index, rows in enumerate(relation.rows_by_column):
-        if not rows:
-            marks.append(0)
-        else:
-            marks.append(rows[uniform_index(substream_seed(base, index), len(rows))])
-    return FunctionTable(relation.shape, tuple(marks))
+    columns = relation.rows_by_column
+    bases = [randomness.getrandbits(64)] * len(columns)
+    picks = substream_indices(bases, range(len(columns)), [len(rows) or 1 for rows in columns])
+    return FunctionTable(
+        relation.shape, tuple(rows[pick] if rows else 0 for rows, pick in zip(columns, picks))
+    )
 
 
 def count_hits(
@@ -180,30 +185,28 @@ def count_hits(
     works column by column across all trials. With the stored digit strings
     sorted, the ones that agree with every column drawn so far form one
     contiguous range, so each trial keeps that range and stops drawing once
-    it is empty. Columns with at most one marked row are forced and draw
-    nothing. Substream draws do not depend on evaluation order, so skipping
-    them changes no outcome.
+    it is empty. A column is drawn for every live trial in one batch; columns
+    with at most one marked row are forced and draw nothing. Substream draws
+    do not depend on evaluation order, so skipping them changes no outcome.
     """
     relation = _as_relation(relation)
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
-    shape = relation.shape
-    targets = []
-    for table in stored:
-        # identity first: a sweep's tables all share one shape object
-        if table.shape is not shape and table.shape != shape:
-            raise ShapeError(f"shape mismatch: {shape} vs {table.shape}")
-        targets.append(table.marks)
-    targets.sort()
+    stored = tuple(stored)
+    _check_shapes(relation.shape, *(table.shape for table in stored))
+    targets = sorted(table.marks for table in stored)
     live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(trials)]
     if not targets:
         return 0
-    seed_of, draw = substream_seed, uniform_index
     for index, (rows, column) in enumerate(zip(relation.rows_by_column, zip(*targets))):
-        count = len(rows)
+        if len(rows) > 1:
+            bases = [base for base, _, _ in live]
+            picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
+            picked = [rows[pick] for pick in picks]
+        else:
+            picked = [rows[0] if rows else 0] * len(live)
         survivors = []
-        for base, low, high in live:
-            row = rows[draw(seed_of(base, index), count)] if count > 1 else (rows[0] if rows else 0)
+        for (base, low, high), row in zip(live, picked):
             low = bisect_left(column, row, low, high)
             if low < high and column[low] == row:
                 survivors.append((base, low, bisect_right(column, row, low, high)))
@@ -219,8 +222,7 @@ def superpose(
     """Cell-wise union of two tables of one shape; commutative, associative, idempotent."""
     base = _as_relation(base)
     addition = _as_relation(addition)
-    if base.shape != addition.shape:
-        raise ShapeError(f"shape mismatch: {base.shape} vs {addition.shape}")
+    _check_shapes(base.shape, addition.shape)
     return RelationTable(
         base.shape, tuple(a | b for a, b in zip(base.columns, addition.columns))
     )
@@ -229,8 +231,7 @@ def superpose(
 def contains(relation: RelationTable | FunctionTable, function: FunctionTable) -> bool:
     """True iff every marked cell of the function is marked in the relation."""
     relation = _as_relation(relation)
-    if relation.shape != function.shape:
-        raise ShapeError(f"shape mismatch: {relation.shape} vs {function.shape}")
+    _check_shapes(relation.shape, function.shape)
     for bits, row in zip(relation.columns, function.marks):
         if row != 0 and not bits >> (row - 1) & 1:
             return False

@@ -134,6 +134,30 @@ def test_rows_past_the_mark_bound_exit_2_within_1_mb(capsys, tmp_path, row):
     assert peak <= 1 << 20
 
 
+@pytest.mark.parametrize(
+    "digits, column, digit", [("200000000", 1, "200000000"), (f"1 {2**26 - 1} 2 1", 12, "2")]
+)
+def test_function_marks_past_the_mark_bound_exit_2_within_1_mb(capsys, tmp_path, digits, column, digit):
+    # the bound sums a function's digits; without it entropy builds 1 << (digit - 1)
+    path = tmp_path / "high_digit.doc"
+    path.write_text(f"table {len(digits.split())} {10**30} function\n{digits}\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["entropy", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 2, column {column}: digit {digit} takes the marked rows past ")
+    assert peak <= 1 << 20
+
+
+def test_function_marks_at_the_mark_bound_are_accepted(capsys, tmp_path):
+    path = tmp_path / "at_bound.doc"
+    path.write_text(f"table 2 {10**30} function\n{2**25} {2**25}\n")
+    assert run_cli(capsys, ["entropy", str(path)])[:2] == (0, "0.0\n")
+
+
 def test_superpose(capsys, docs):
     code, out, _ = run_cli(capsys, ["superpose", docs["f12"], docs["f21"]])
     assert (code, out) == (0, FULL22)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -26,7 +27,7 @@ from tabcomp import (
     run_sweep,
     superpose,
 )
-from tabcomp.streams import substream_seed
+from tabcomp.streams import substream_seed, uniform_index
 
 
 def _small_config(**overrides):
@@ -119,14 +120,12 @@ def test_storing_every_function_fills_the_relation():
 
 def test_repeats_lower_expected_precision():
     # with repeats allowed, expectation counts the distinct stored functions:
-    # seed 3 draws 6 functions at 2x2 but only 3 distinct ones, filling the
-    # relation, so 3 of the 4 contained functions count as recalled
-    shape = TableShape(2, 2)
-    report = run_sweep(ExperimentConfig(shape, (6,), trials=100, seed=3, distinct=False))
-    point = report.points[0]
-    assert point.entropy == pytest.approx(1.0, abs=1e-12)
-    assert point.contained_total == 4
-    assert point.precision_expected == pytest.approx(0.75, abs=1e-12)
+    # 6 draws at 2x2, where only 4 functions exist, hold fewer than 6 distinct ones
+    config = ExperimentConfig(TableShape(2, 2), (6,), trials=100, seed=3, distinct=False)
+    distinct = len({table.marks for table in experiment._master_sequence(config)})
+    point = run_sweep(config).points[0]
+    assert distinct < 6
+    assert point.precision_expected == pytest.approx(distinct / point.contained_total, abs=1e-12)
 
 
 def test_observed_precision_tracks_expected_across_seeds():
@@ -212,19 +211,26 @@ def test_report_points_are_plain_records():
     assert report.points == (point,)
 
 
-def _randrange_master(config):
-    """The master sequence drawn with one ``randrange`` call a digit: the oracle
-    for the inline draws of ``_master_sequence``."""
-    randomness = random.Random(substream_seed(config.seed, 0))
+def _scalar_master(config):
+    """The master sequence drawn with one ``uniform_index`` call a draw and
+    decoded digit by digit: the oracle for the batch draws and the halving
+    decode of ``_master_sequence``."""
     n, m = config.shape.n, config.shape.m
-    sequence, seen = [], set()
-    while len(sequence) < max(config.stored_counts):
-        marks = tuple(randomness.randrange(1, m + 1) for _ in range(n))
+    total, base = m**n, substream_seed(config.seed, 0)
+    slots, sequence = {}, []
+    for i in range(max(config.stored_counts)):
         if config.distinct:
-            if marks in seen:
-                continue
-            seen.add(marks)
-        sequence.append(FunctionTable(config.shape, marks))
+            # Fisher–Yates: swap slot i with a slot drawn from i..total-1, emit slot i
+            j = i + uniform_index(substream_seed(base, i), total - i)
+            slots[i], slots[j] = slots.get(j, j), slots.get(i, i)
+            index = slots[i]
+        else:
+            index = uniform_index(substream_seed(base, i), total)
+        digits = []
+        for _ in range(n):
+            index, digit = divmod(index, m)
+            digits.append(digit + 1)
+        sequence.append(FunctionTable(config.shape, tuple(reversed(digits))))
     return sequence
 
 
@@ -244,9 +250,26 @@ def sweep_configs(draw):
 @example(ExperimentConfig(TableShape(4, 1), (1, 1), trials=3, seed=0))
 @example(ExperimentConfig(TableShape(3, 1), (5, 2), trials=3, seed=1, distinct=False))
 @example(ExperimentConfig(TableShape(2, 4), (16, 3, 16), trials=5, seed=2))
+@example(ExperimentConfig(TableShape(13, 10), (40,), trials=1, seed=4))
+@example(ExperimentConfig(TableShape(40, 7), (3,), trials=1, seed=5, distinct=False))
 @settings(max_examples=150)
-def test_master_sequence_matches_randrange(config):
-    assert experiment._master_sequence(config) == _randrange_master(config)
+def test_master_sequence_matches_scalar_shuffle(config):
+    master = experiment._master_sequence(config)
+    assert master == _scalar_master(config)
+    if config.distinct:
+        assert len({table.marks for table in master}) == len(master)
+
+
+def test_master_prefixes_are_uniform_ordered_samples():
+    # at N=3, S=2 every ordered pair of distinct functions occurs (a Floyd
+    # sample never starts with the last one) and no prefix repeats a function
+    shape = TableShape(1, 3)
+    pairs = Counter()
+    for seed in range(600):
+        master = experiment._master_sequence(ExperimentConfig(shape, (2,), trials=1, seed=seed))
+        pairs[tuple(table.marks[0] for table in master)] += 1
+    assert sorted(pairs) == [pair for pair in itertools.product((1, 2, 3), repeat=2) if pair[0] != pair[1]]
+    assert all(abs(count / 600 - 1 / 6) <= 0.06 for count in pairs.values())
 
 
 @given(sweep_configs())
@@ -263,7 +286,7 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
 
     with mock.patch.object(experiment, "_run_point", recording):
         report = run_sweep(config)
-    master = _randrange_master(config)
+    master = _scalar_master(config)
     assert [position for position, _, _ in calls] == list(range(len(config.stored_counts)))
     for (position, relation, distinct_count), point in zip(calls, report.points):
         stored = master[: config.stored_counts[position]]
