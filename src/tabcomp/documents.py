@@ -6,18 +6,18 @@ line of n space-separated digits, 0 for an unmarked column. A relation
 document continues with one ``col <i>: <rows>`` line per column in order,
 rows ascending and possibly empty. ``#`` starts a comment, blank lines are
 skipped, and every parse error carries the line and column of the offending
-token. Serialization is the exact inverse of parsing.
+token. Serialization is the exact inverse of parsing. A relation column is
+held as the rows its line lists, so memory is linear in the document's size.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from typing import Literal
 
 from .enumeration import TableShape
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 from .relations import RelationTable
 from .tables import FunctionTable
 
@@ -27,11 +27,6 @@ _DECIMAL = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"\S+")
 _Token = tuple[str, int]
 _Line = tuple[int, str]
-
-# A column becomes an int with one bit per row up to its highest mark, so a
-# document's highest marked rows (a function's digits), summed over its columns,
-# stay at most this.
-MAX_MARK_BITS = 2**26
 
 
 @dataclass(frozen=True)
@@ -141,23 +136,18 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
             f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
         )
     marks = []
-    room = MAX_MARK_BITS
     for token, column in tokens:
         digit = _parse_int(token, line_number, column, "digit")
         if digit > shape.m:
             raise ParseError(
                 f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
             )
-        if digit > room:
-            message = f"digit {digit} takes the marked rows past {MAX_MARK_BITS} bits"
-            raise ParseError(message, line=line_number, column=column)
-        room -= digit
         marks.append(digit)
     _reject_extra_lines(lines, 2)
     return FunctionTable(shape, tuple(marks))
 
 
-def _checked_rows(line_number: int, body: str, index: int, m: int, room: int) -> list[int]:
+def _checked_rows(line_number: int, body: str, index: int, m: int) -> list[int]:
     """The rows of column ``index``'s line, token by token; the first bad token raises."""
     tokens = _tokens(body)
     keyword, column = tokens[0]
@@ -183,39 +173,38 @@ def _checked_rows(line_number: int, body: str, index: int, m: int, room: int) ->
                 line=line_number,
                 column=token_column,
             )
-        if row > room:
-            message = f"row {row} takes the marked rows past {MAX_MARK_BITS} bits"
-            raise ParseError(message, line=line_number, column=token_column)
         rows.append(row)
     return rows
 
 
+def _decimal_rows(body: str, index: int) -> list[int] | None:
+    """The rows of a ``col <index>:`` line by C-level checks alone; None if they fail."""
+    words = body.split()
+    digits = "".join(words[2:])
+    if words[:2] != ["col", f"{index}:"] or digits and not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return list(map(int, words[2:]))
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
-    columns: list[int] = []
-    room = MAX_MARK_BITS
+    # a well-formed body passes C-level checks and then the column rule, once; any
+    # other takes the token path, which raises at its first bad token in document order
+    columns = [_decimal_rows(body, index) for index, (_, body) in enumerate(lines[1:], start=1)]
+    if None not in columns:
+        try:
+            return RelationTable(shape, columns)
+        except ShapeError:  # a line too many or too few, or a row outside the column rule
+            pass
+    columns = []
     for index in range(1, shape.n + 1):
         if len(lines) < index + 1:
-            raise ParseError(
-                f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1
-            )
-        line_number, body = lines[index]
-        # C-level checks pass a well-formed line; the token path positions any error
-        words = body.split()
-        digits = "".join(words[2:])
-        try:
-            rows = list(map(int, words[2:])) if digits.isascii() and digits.isdigit() else []
-        except ValueError:  # more digits than int() converts
-            rows = []
-        fits = rows and 1 <= rows[0] and rows[-1] <= min(shape.m, room)
-        if not (fits and words[:2] == ["col", f"{index}:"] and all(map(operator.lt, rows, rows[1:]))):
-            rows = _checked_rows(line_number, body, index, shape.m, room)
-        room -= rows[-1] if rows else 0
-        bits = 0
-        for row in rows:
-            bits |= 1 << (row - 1)
-        columns.append(bits)
+            raise ParseError(f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1)
+        columns.append(_checked_rows(*lines[index], index, shape.m))
     _reject_extra_lines(lines, shape.n + 1)
-    return RelationTable(shape, tuple(columns))
+    return RelationTable(shape, columns)
 
 
 def parse_table_document(text: str | bytes) -> TableDocument:
@@ -240,7 +229,7 @@ def serialize_table_document(document: TableDocument) -> str:
     if isinstance(table, FunctionTable):
         lines.append(" ".join(str(mark) for mark in table.marks))
     else:
-        for index, rows in enumerate(table.rows_by_column, start=1):
+        for index, rows in enumerate(table.columns, start=1):
             suffix = " " + " ".join(str(row) for row in rows) if rows else ""
             lines.append(f"col {index}:{suffix}")
     return "\n".join(lines) + "\n"

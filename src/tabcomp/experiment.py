@@ -172,12 +172,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master = _master_sequence(config)
-    columns, seen, prefixes = [0] * config.shape.n, set(), {}
-    for size, table in enumerate(master, start=1):
-        columns = [bits | 1 << (row - 1) for bits, row in zip(columns, table.marks)]
-        seen.add(table.marks)
-        if size in config.stored_counts:
-            prefixes[size] = (RelationTable(config.shape, tuple(columns)), len(seen))
+    marked, seen, prefixes, done = [set() for _ in range(config.shape.n)], set(), {}, 0
+    for size in sorted(set(config.stored_counts)):
+        added = [table.marks for table in master[done:size]]
+        for rows, column in zip(marked, zip(*added)):
+            rows.update(column)
+        seen.update(added)
+        done = size
+        prefixes[size] = (RelationTable(config.shape, map(sorted, marked)), len(seen))
     return ExperimentReport(
         tuple(
             _run_point(config, master, position, *prefixes[count])

@@ -1,10 +1,10 @@
 """Relation tables, computational entropy, superposition, and stochastic evaluation.
 
 A relation table may mark any set of cells; column i carries v_i marks,
-0 <= v_i <= m. A function table is exactly the v_i <= 1 special case. Marks
-are stored as one fixed-width bit vector per column (bit j-1 set <=> the cell
-at row j is marked), so superposition, containment, and row extraction reduce
-to word-level boolean operations applied column-parallel.
+0 <= v_i <= m. A function table is exactly the v_i <= 1 special case. A column
+is stored as its marked rows, strictly ascending: what a document lists and
+what sampling indexes. Memory is linear in the number of marks whatever m is;
+containment is a bisection and superposition a sorted union per column.
 
 Evaluating a relation at an argument picks one of that column's marked rows
 uniformly at random, from the same splitmix64 substream that column uses in
@@ -16,16 +16,16 @@ is 0 exactly for (partial) functions and at most log2(m).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .enumeration import TableShape
 from .errors import DomainError, ShapeError
 from .streams import substream_indices, substream_seed, uniform_index
-from .tables import FunctionTable
+from .tables import FunctionTable, check_position
 
 __all__ = [
     "RelationTable",
@@ -44,63 +44,47 @@ CountMode = Literal["total-on-support", "including-partial"]
 
 @dataclass(frozen=True)
 class RelationTable:
-    """An n×m grid of boolean marks, one bit vector per argument column."""
+    """An n×m grid of boolean marks: each argument column's marked rows, ascending."""
 
     shape: TableShape
-    columns: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         if len(self.columns) != self.shape.n:
             raise ShapeError(
                 f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.columns)}"
             )
-        for column, bits in enumerate(self.columns, start=1):
-            # bit_length, not a (1 << m) - 1 mask: m may be far too big to allocate
-            if type(bits) is not int or bits < 0 or bits.bit_length() > self.shape.m:
+        for column, rows in enumerate(self.columns, start=1):
+            # the column rule, in C-level passes: ints, strictly ascending, within 1..m
+            if rows and not (
+                set(map(type, rows)) == {int}
+                and 1 <= rows[0]
+                and rows[-1] <= self.shape.m
+                and all(map(operator.lt, rows, rows[1:]))
+            ):
                 raise ShapeError(
-                    f"column {column} mark bits {bits!r} outside rows 1..{self.shape.m}"
+                    f"column {column} rows are not strictly ascending ints in 1..{self.shape.m}"
                 )
 
     @classmethod
     def empty(cls, shape: TableShape) -> RelationTable:
-        return cls(shape, (0,) * shape.n)
+        return cls(shape, ((),) * shape.n)
 
     @classmethod
     def from_rows(cls, shape: TableShape, rows_per_column: Iterable[Iterable[int]]) -> RelationTable:
-        """Build from explicit row lists, one iterable of rows (1..m) per column."""
-        columns = []
-        for column, rows in enumerate(rows_per_column, start=1):
-            bits = 0
-            for row in rows:
-                if type(row) is not int or not 1 <= row <= shape.m:
-                    raise ShapeError(f"row {row!r} in column {column} outside 1..{shape.m}")
-                bits |= 1 << (row - 1)
-            columns.append(bits)
-        return cls(shape, tuple(columns))
+        """Build from one iterable of ascending rows (1..m) per column."""
+        return cls(shape, rows_per_column)
 
     @classmethod
     def from_function(cls, table: FunctionTable) -> RelationTable:
         """View a function table as a relation (v_i <= 1 everywhere)."""
-        return cls(table.shape, tuple(0 if row == 0 else 1 << (row - 1) for row in table.marks))
+        return cls(table.shape, tuple((row,) if row else () for row in table.marks))
 
-    @cached_property
+    @property
     def mark_counts(self) -> tuple[int, ...]:
         """Per-column mark counts v_1..v_n."""
-        return tuple(bits.bit_count() for bits in self.columns)
-
-    @cached_property
-    def rows_by_column(self) -> tuple[tuple[int, ...], ...]:
-        """Marked rows of each column, ascending."""
-        result = []
-        for bits in self.columns:
-            rows = []
-            while bits:
-                low = bits & -bits
-                rows.append(low.bit_length())
-                bits ^= low
-            result.append(tuple(rows))
-        return tuple(result)
+        return tuple(map(len, self.columns))
 
     @property
     def is_function(self) -> bool:
@@ -110,7 +94,7 @@ class RelationTable:
         """The function this relation is, when every column has at most one mark."""
         if not self.is_function:
             raise ShapeError("relation has a column with more than one mark")
-        return FunctionTable(self.shape, tuple(bits.bit_length() for bits in self.columns))
+        return FunctionTable(self.shape, tuple(rows[0] if rows else 0 for rows in self.columns))
 
 
 def _check_shapes(shape: TableShape, *others: TableShape) -> None:
@@ -118,6 +102,12 @@ def _check_shapes(shape: TableShape, *others: TableShape) -> None:
         # identity first: a sweep's tables all share one shape object
         if other is not shape and other != shape:
             raise ShapeError(f"shape mismatch: {shape} vs {other}")
+
+
+def _marked(rows: tuple[int, ...], row: int) -> bool:
+    """Whether ``row`` is one of a column's ascending marked rows."""
+    index = bisect_left(rows, row)
+    return index < len(rows) and rows[index] == row
 
 
 def _as_relation(table: RelationTable | FunctionTable) -> RelationTable:
@@ -147,10 +137,9 @@ def random_evaluate(
     substream.
     """
     relation = _as_relation(relation)
-    if type(argument) is not int or not 1 <= argument <= relation.shape.n:
-        raise DomainError(f"argument {argument!r} outside columns 1..{relation.shape.n}")
+    check_position(argument, relation.shape, "argument")
     base = randomness.getrandbits(64)
-    rows = relation.rows_by_column[argument - 1]
+    rows = relation.columns[argument - 1]
     return rows[uniform_index(substream_seed(base, argument - 1), len(rows))] if rows else None
 
 
@@ -164,7 +153,7 @@ def sample_function(
     order; per-column choices use masked rejection and are exactly uniform.
     """
     relation = _as_relation(relation)
-    columns = relation.rows_by_column
+    columns = relation.columns
     bases = [randomness.getrandbits(64)] * len(columns)
     picks = substream_indices(bases, range(len(columns)), [len(rows) or 1 for rows in columns])
     return FunctionTable(
@@ -198,7 +187,7 @@ def count_hits(
     live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(trials)]
     if not targets:
         return 0
-    for index, (rows, column) in enumerate(zip(relation.rows_by_column, zip(*targets))):
+    for index, (rows, column) in enumerate(zip(relation.columns, zip(*targets))):
         if len(rows) > 1:
             bases = [base for base, _, _ in live]
             picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
@@ -224,7 +213,7 @@ def superpose(
     addition = _as_relation(addition)
     _check_shapes(base.shape, addition.shape)
     return RelationTable(
-        base.shape, tuple(a | b for a, b in zip(base.columns, addition.columns))
+        base.shape, tuple(sorted({*a, *b}) for a, b in zip(base.columns, addition.columns))
     )
 
 
@@ -232,10 +221,7 @@ def contains(relation: RelationTable | FunctionTable, function: FunctionTable) -
     """True iff every marked cell of the function is marked in the relation."""
     relation = _as_relation(relation)
     _check_shapes(relation.shape, function.shape)
-    for bits, row in zip(relation.columns, function.marks):
-        if row != 0 and not bits >> (row - 1) & 1:
-            return False
-    return True
+    return all(row == 0 or _marked(rows, row) for rows, row in zip(relation.columns, function.marks))
 
 
 def count_contained(
@@ -261,9 +247,7 @@ def inverse_evaluate_relation(
 ) -> tuple[int, ...]:
     """All columns whose cell at the given row is marked, ascending."""
     relation = _as_relation(relation)
-    if type(value) is not int or not 1 <= value <= relation.shape.m:
-        raise DomainError(f"value {value!r} outside rows 1..{relation.shape.m}")
-    bit = 1 << (value - 1)
+    check_position(value, relation.shape, "value")
     return tuple(
-        column for column, bits in enumerate(relation.columns, start=1) if bits & bit
+        column for column, rows in enumerate(relation.columns, start=1) if _marked(rows, value)
     )

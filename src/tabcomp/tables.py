@@ -9,6 +9,7 @@ view, not the representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 from .enumeration import FunctionIndex, TableShape, checked_digits
 from .errors import DomainError
@@ -45,13 +46,19 @@ def decode(index: FunctionIndex) -> FunctionTable:
     return FunctionTable(index.shape, index.digits)
 
 
+def check_position(position: int, shape: TableShape, axis: Literal["argument", "value"]) -> None:
+    """Reject an argument outside columns 1..n or a value outside rows 1..m."""
+    limit, unit = (shape.n, "columns") if axis == "argument" else (shape.m, "rows")
+    if type(position) is not int or not 1 <= position <= limit:
+        raise DomainError(f"{axis} {position!r} outside {unit} 1..{limit}")
+
+
 def evaluate(table: FunctionTable, argument: int) -> int | None:
     """Value at an argument: the marked row of its column, or None when unmarked.
 
     Inspects exactly one column.
     """
-    if type(argument) is not int or not 1 <= argument <= table.shape.n:
-        raise DomainError(f"argument {argument!r} outside columns 1..{table.shape.n}")
+    check_position(argument, table.shape, "argument")
     row = table.marks[argument - 1]
     return row if row != 0 else None
 
@@ -62,8 +69,7 @@ def inverse_evaluate(table: FunctionTable, value: int) -> tuple[int, ...]:
     Inspects each column of the row once; the preimage may be empty or contain
     several columns.
     """
-    if type(value) is not int or not 1 <= value <= table.shape.m:
-        raise DomainError(f"value {value!r} outside rows 1..{table.shape.m}")
+    check_position(value, table.shape, "value")
     return tuple(
         column for column, row in enumerate(table.marks, start=1) if row == value
     )

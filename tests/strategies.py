@@ -35,7 +35,7 @@ def tables(max_n: int = 8, max_m: int = 8) -> st.SearchStrategy[FunctionTable]:
 
 
 def relations_of(shape: TableShape) -> st.SearchStrategy[RelationTable]:
-    column = st.integers(min_value=0, max_value=(1 << shape.m) - 1)
+    column = st.sets(st.integers(min_value=1, max_value=shape.m)).map(sorted)
     return st.lists(column, min_size=shape.n, max_size=shape.n).map(
         lambda columns: RelationTable(shape, tuple(columns))
     )

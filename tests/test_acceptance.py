@@ -64,8 +64,10 @@ def _random_function_table(randomness: random.Random, max_n: int, max_m: int) ->
 
 def _random_relation(randomness: random.Random, max_n: int, max_m: int) -> RelationTable:
     shape = TableShape(randomness.randint(1, max_n), randomness.randint(1, max_m))
-    columns = tuple(randomness.randrange(1 << shape.m) for _ in range(shape.n))
-    return RelationTable(shape, columns)
+    # one randrange(1 << m) a column, bit j-1 marking row j
+    masks = [randomness.randrange(1 << shape.m) for _ in range(shape.n)]
+    rows = range(1, shape.m + 1)
+    return RelationTable(shape, [[row for row in rows if mask >> (row - 1) & 1] for mask in masks])
 
 
 @criterion(1, "worked example round trip")
@@ -142,7 +144,7 @@ def test_criterion_5_superposition():
         for marks in itertools.product(range(relation.shape.m + 1), repeat=relation.shape.n):
             candidate = FunctionTable(relation.shape, marks)
             if contains(relation, candidate) and all(
-                (mark != 0) == (bits != 0) for mark, bits in zip(marks, relation.columns)
+                (mark != 0) == bool(rows) for mark, rows in zip(marks, relation.columns)
             ):
                 on_support += 1
         assert count_contained(relation, "total-on-support") == on_support
@@ -168,11 +170,11 @@ def test_criterion_6_stochastic_contract():
         for fuzzed in relations:
             argument = evaluated.randint(1, fuzzed.shape.n)
             row = random_evaluate(fuzzed, argument, evaluated)
-            bits = fuzzed.columns[argument - 1]
+            rows = fuzzed.columns[argument - 1]
             if row is None:
-                assert bits == 0
+                assert rows == ()
             else:
-                assert bits >> (row - 1) & 1
+                assert row in rows
 
 
 @criterion(7, "storage/precision trade-off curve")

@@ -119,36 +119,45 @@ def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
     assert run_cli(capsys, ["unnumber", "1" * 5000])[0] == 2
 
 
-@pytest.mark.parametrize("row", ["200000000", "999999999999"])
-def test_rows_past_the_mark_bound_exit_2_within_1_mb(capsys, tmp_path, row):
-    path = tmp_path / "high_row.doc"
-    path.write_text(f"table 1 {10**30} relation\ncol 1: {row}\n")
+def _run_with_peak(capsys, argv):
+    """run_cli's result and the tracemalloc peak while it runs."""
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, ["entropy", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run_cli(capsys, argv)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: line 2, column 8: row {row} takes the marked rows past ")
+
+
+@pytest.mark.parametrize("row", ["200000000", "999999999999"])
+def test_high_rows_exit_0_within_1_mb(capsys, tmp_path, row):
+    # a column holds the rows it lists, not a bit per row up to the highest
+    path = tmp_path / "high_row.doc"
+    path.write_text(f"table 1 {10**30} relation\ncol 1: {row}\n")
+    result, peak = _run_with_peak(capsys, ["entropy", str(path)])
+    assert result == (0, "0.0\n", "")
+    assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("digits", ["200000000", f"1 {2**26 - 1} 2 1"])
+def test_high_function_marks_exit_0_within_1_mb(capsys, tmp_path, digits):
+    # entropy views the function as a relation, one row a marked column
+    path = tmp_path / "high_digit.doc"
+    path.write_text(f"table {len(digits.split())} {10**30} function\n{digits}\n")
+    result, peak = _run_with_peak(capsys, ["entropy", str(path)])
+    assert result == (0, "0.0\n", "")
     assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize(
-    "digits, column, digit", [("200000000", 1, "200000000"), (f"1 {2**26 - 1} 2 1", 12, "2")]
+    "value, columns", [("99999999999999999999999", "3"), ("5000000000", "1"), ("1", "1"), ("2", "")]
 )
-def test_function_marks_past_the_mark_bound_exit_2_within_1_mb(capsys, tmp_path, digits, column, digit):
-    # the bound sums a function's digits; without it entropy builds 1 << (digit - 1)
-    path = tmp_path / "high_digit.doc"
-    path.write_text(f"table {len(digits.split())} {10**30} function\n{digits}\n")
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, ["entropy", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: line 2, column {column}: digit {digit} takes the marked rows past ")
+def test_inverse_of_a_relation_with_a_huge_value_count_within_1_mb(capsys, tmp_path, value, columns):
+    # a row is looked up in each column's marked rows, never turned into a 1 << (value - 1) mask
+    path = tmp_path / "huge_m.doc"
+    path.write_text(f"table 3 {10**23} relation\ncol 1: 1 5000000000\ncol 2:\ncol 3: {10**23 - 1}\n")
+    result, peak = _run_with_peak(capsys, ["inverse", str(path), "--value", value])
+    assert result == (0, columns + "\n", "")
     assert peak <= 1 << 20
 
 

@@ -1,8 +1,10 @@
 """Golden outputs: seeded CLI runs must reproduce their committed stdout byte for byte.
 
-The files under ``tests/golden/`` pin the random streams and the global
-numbering. A change that alters any of them is a change to a random stream or
-to the numbering and must be declared as such.
+The files under ``tests/golden/`` pin the random streams, the global
+numbering and what the relation commands print. A change that alters any of
+them is a change to a random stream, to the numbering or to a relation
+operation's answer, and must be declared as such. ``relation_6x5.doc`` and
+``function_6x5.doc`` are inputs only.
 
 Runs under pytest, or without it as a script from the repository root:
 
@@ -23,6 +25,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "2000"]
 
+# the relation commands read one relation document and one function document
+_RELATION = str(GOLDEN / "relation_6x5.doc")
+_FUNCTION = str(GOLDEN / "function_6x5.doc")
+
 _NUMBERED = {
     "4x7": "1 2 4 7",
     "20x20": " ".join(str(digit) for digit in range(20, 0, -1)),
@@ -41,7 +47,14 @@ CASES: dict[str, list[str | Path]] = {
     "sweep_16x16_seed1.csv": [
         "sweep", "--shape", "16x16", "--counts", "1,2,4,8,16,32", "--trials", "80", "--seed", "1",
     ],
-    "sample_seed7.doc": ["sample", str(GOLDEN / "relation_6x5.doc"), "--seed", "7"],
+    "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
+    "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
+    "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],
+    "contains_6x5.txt": ["contains", _RELATION, _FUNCTION],
+    "contains_6x5_sample_seed7.txt": ["contains", _RELATION, str(GOLDEN / "sample_seed7.doc")],
+    "contained_count_6x5.txt": ["contained-count", _RELATION],
+    "contained_count_partial_6x5.txt": ["contained-count", _RELATION, "--mode", "including-partial"],
+    "entropy_6x5.txt": ["entropy", _RELATION],
     **{f"number_{shape}.txt": ["number", "--shape", shape, "--k", k] for shape, k in _NUMBERED.items()},
     **{f"unnumber_{shape}.txt": ["unnumber", GOLDEN / f"number_{shape}.txt"] for shape in _NUMBERED},
 }

@@ -111,17 +111,17 @@ def test_inverse_evaluate_inspects_each_column_at_most_once():
 
 def test_evaluate_rejects_arguments_outside_columns():
     table = FunctionTable(TableShape(2, 2), (1, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^argument 0 outside columns 1\.\.2$"):
         evaluate(table, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^argument 3 outside columns 1\.\.2$"):
         evaluate(table, 3)
 
 
 def test_inverse_evaluate_rejects_values_outside_rows():
     table = FunctionTable(TableShape(2, 2), (1, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^value 0 outside rows 1\.\.2$"):
         inverse_evaluate(table, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^value 3 outside rows 1\.\.2$"):
         inverse_evaluate(table, 3)
 
 
