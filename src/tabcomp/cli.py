@@ -24,7 +24,7 @@ from .enumeration import (
     function_number,
     table_shape,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_result_digits
 from .experiment import ExperimentConfig, emit_report, run_sweep
 from .relations import (
     contains,
@@ -107,7 +107,13 @@ def _cmd_decode(args: argparse.Namespace) -> None:
 
 def _cmd_number(args: argparse.Namespace) -> None:
     index = FunctionIndex(TableShape(*args.shape), args.k)
-    print(function_number(index))
+    # the number passes the function count of each table on the diagonal before its own
+    diagonal = index.shape.diagonal
+    for m in range(1, diagonal):
+        check_result_digits(m + 1, diagonal - m)
+    number = function_number(index)
+    check_result_digits(number)
+    print(number)
 
 
 def _cmd_unnumber(args: argparse.Namespace) -> None:
@@ -121,7 +127,9 @@ def _cmd_shape(args: argparse.Namespace) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> None:
-    print(count_functions(TableShape(*args.shape)))
+    shape = TableShape(*args.shape)
+    check_result_digits(shape.m + 1, shape.n)
+    print(count_functions(shape))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
@@ -167,7 +175,9 @@ def _cmd_contains(args: argparse.Namespace) -> None:
 
 def _cmd_contained_count(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
-    print(count_contained(document.table, args.mode))
+    count = count_contained(document.table, args.mode)
+    check_result_digits(count)
+    print(count)
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:

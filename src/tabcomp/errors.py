@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for a result's size.
 
 All validation failures are ValueError subclasses so callers can catch
 broadly; the CLI distinguishes ParseError (malformed input, exit 2) from
@@ -6,6 +6,10 @@ the rest (domain/validation errors, exit 1).
 """
 
 from __future__ import annotations
+
+import sys
+
+__all__ = ["ShapeError", "DomainError", "InvalidIndexError", "ArityError", "ConfigError", "ParseError"]
 
 
 class ShapeError(ValueError):
@@ -38,3 +42,17 @@ class ParseError(ValueError):
             where = f"line {line}" if column is None else f"line {line}, column {column}"
             message = f"{where}: {message}"
         super().__init__(message)
+
+
+def check_result_digits(base: int, exponent: int = 1, error: type[ValueError] = DomainError) -> None:
+    """Raise ``error`` if ``base ** exponent`` has more decimal digits than ``str``
+    writes, ``sys.get_int_max_str_digits()``: the one rule for a result's size.
+    The power of a b-bit base lies in [2**((b-1)*exponent), 2**(b*exponent)) and
+    10**limit in (2**(3*limit), 2**(4*limit)), so it is built only when these leave
+    the answer open, and then it has fewer than 8*limit bits."""
+    limit, bits = sys.get_int_max_str_digits(), base.bit_length()
+    if limit and (
+        (bits - 1) * exponent >= 4 * limit
+        or bits * exponent > 3 * limit and base**exponent >= 10**limit
+    ):
+        raise error(f"the result has more than {limit} decimal digits")

@@ -29,7 +29,7 @@ from itertools import chain, product
 from typing import Literal
 
 from .enumeration import TableShape
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_result_digits
 from .relations import RelationTable, count_contained, count_hits, entropy
 from .streams import substream_indices, substream_seed
 from .tables import FunctionTable
@@ -144,10 +144,9 @@ def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
 
 def _run_point(
     config: ExperimentConfig, master: list[FunctionTable], position: int,
-    relation: RelationTable, distinct_count: int,
+    relation: RelationTable, contained: int, distinct_count: int,
 ) -> SweepPoint:
     stored_count = config.stored_counts[position]
-    contained = count_contained(relation, "total-on-support")
     # stored functions are total, so every column is non-empty and each
     # contained total function is sampled with probability 1/contained
     expected = distinct_count / contained
@@ -179,7 +178,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             rows.update(column)
         seen.update(added)
         done = size
-        prefixes[size] = (RelationTable(config.shape, map(sorted, marked)), len(seen))
+        relation = RelationTable(config.shape, map(sorted, marked))
+        contained = count_contained(relation, "total-on-support")
+        check_result_digits(contained, error=ConfigError)  # before any trial runs
+        prefixes[size] = (relation, contained, len(seen))
     return ExperimentReport(
         tuple(
             _run_point(config, master, position, *prefixes[count])

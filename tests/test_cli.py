@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import random
 import sys
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tabcomp import cli
+from tabcomp import cli, experiment
 from tabcomp.cli import main
+from tabcomp.enumeration import FunctionIndex, TableShape, function_number
+from tabcomp.errors import DomainError, check_result_digits
 
 F1247 = "table 4 7 function\n1 2 4 7\n"
 FULL22 = "table 2 2 relation\ncol 1: 1 2\ncol 2: 1 2\n"
@@ -27,13 +31,15 @@ DOC_TEXTS = {
     "bad": "table 2 2 function\n3 0\n",
     "rel32": "table 3 2 relation\ncol 1: 1 2\ncol 2:\ncol 3: 2\n",
 }
+# 2**20000 partial functions, 6021 decimal digits
+WIDE = "table 20000 1 relation\n" + "".join(f"col {i}: 1\n" for i in range(1, 20001))
 
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     root = tmp_path_factory.mktemp("docs")
     paths = {}
-    for name, text in DOC_TEXTS.items():
+    for name, text in {**DOC_TEXTS, "wide": WIDE}.items():
         path = root / f"{name}.doc"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)
@@ -287,6 +293,18 @@ EXIT_CORPUS = [
     (["encode", "-"], "table 2 2 function\n\uff11 \u0663\n", 2),
 ]
 
+# results with more decimal digits than str() writes leave status 1, refused before the work
+OVERSIZED = [
+    ["count", "--shape", "1000000000x2"],
+    ["count", "--shape", "30000000x2"],
+    ["count", "--shape", f"{10**400}x2"],
+    ["number", "--shape", "1x100000", "--k", "0"],
+    ["number", "--shape", "1x5000", "--k", "0"],
+    ["sweep", "--shape", "20000x2", "--counts", "1,5", "--trials", "100", "--seed", "1"],
+    ["contained-count", "{wide}", "--mode", "including-partial"],
+]
+EXIT_CORPUS += [(argv, None, 1) for argv in OVERSIZED]
+
 
 @pytest.mark.parametrize("argv_template,stdin,expected", EXIT_CORPUS)
 def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, expected):
@@ -294,6 +312,61 @@ def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, e
     code, _, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == expected
     assert err != ""
+
+
+@pytest.mark.parametrize("argv_template", OVERSIZED)
+def test_oversized_results_exit_1_with_one_message(capsys, monkeypatch, docs, argv_template):
+    def no_trials(*args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(experiment, "_run_point", no_trials)
+    argv = [piece.format(**docs) for piece in argv_template]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    elapsed = time.perf_counter() - start
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (1, "", f"error: the result has more than {limit} decimal digits\n")
+    if argv[0] in ("count", "number"):
+        assert elapsed < 1
+
+
+def test_result_digit_rule_is_exact_at_the_limit():
+    limit = sys.get_int_max_str_digits()
+    for base in (2, 3, 7, 9, 10, 11, 255, 256, 1000, 10**6 + 3, 2**64, 10**limit - 1, 10**limit):
+        middle = max(1, round(limit / math.log10(base)))
+        for exponent in range(max(1, middle - 3), middle + 4):
+            try:
+                check_result_digits(base, exponent)
+                refused = False
+            except DomainError:
+                refused = True
+            assert refused == (base**exponent >= 10**limit), (base, exponent)
+
+
+def test_number_is_refused_exactly_past_the_limit(capsys):
+    # at a 640-digit limit, 338x77 is the first shape whose largest number passes it while
+    # every table on the diagonal before its own fits: the printed number is checked too
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n, m, fits in ((337, 77, True), (338, 77, False)):
+            number = function_number(FunctionIndex(TableShape(n, m), (m,) * n))
+            assert (number < 10**640) == fits
+            refused = (1, "", "error: the result has more than 640 decimal digits\n")
+            expected = (0, f"{number}\n", "") if fits else refused
+            argv = ["number", "--shape", f"{n}x{m}", "--k", " ".join([str(m)] * n)]
+            assert run_cli(capsys, argv) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_no_digit_limit_refuses_no_result(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run_cli(capsys, ["count", "--shape", "5000x9"]) == (0, "1" + "0" * 5000 + "\n", "")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, docs):
@@ -333,7 +406,7 @@ def test_success_leaves_stderr_empty(capsys, docs):
 
 # Fuzzed argv: each subcommand with its real arguments, some dropped, plus a
 # few pieces meant for other subcommands, in any order. Every number has at
-# most two digits, because count and number on huge shapes still do unbounded work.
+# most two digits, because number and unnumber near diagonal 2035 still walk O(D**2) tables.
 _SMALL = st.integers(0, 4) | st.integers(-9, 99)
 
 

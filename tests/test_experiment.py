@@ -21,6 +21,7 @@ from tabcomp import (
     RelationTable,
     SweepPoint,
     TableShape,
+    count_contained,
     emit_report,
     experiment,
     parse_report,
@@ -280,16 +281,17 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
     calls = []
     run_point = experiment._run_point
 
-    def recording(config, master, position, relation, distinct_count):
-        calls.append((position, relation, distinct_count))
-        return run_point(config, master, position, relation, distinct_count)
+    def recording(config, master, position, relation, contained, distinct_count):
+        calls.append((position, relation, contained, distinct_count))
+        return run_point(config, master, position, relation, contained, distinct_count)
 
     with mock.patch.object(experiment, "_run_point", recording):
         report = run_sweep(config)
     master = _scalar_master(config)
-    assert [position for position, _, _ in calls] == list(range(len(config.stored_counts)))
-    for (position, relation, distinct_count), point in zip(calls, report.points):
+    assert [position for position, _, _, _ in calls] == list(range(len(config.stored_counts)))
+    for (position, relation, contained, distinct_count), point in zip(calls, report.points):
         stored = master[: config.stored_counts[position]]
         assert relation == reduce(superpose, stored, RelationTable.empty(config.shape))
+        assert contained == count_contained(relation, "total-on-support")
         assert distinct_count == len({table.marks for table in stored})
         assert point.stored_count == config.stored_counts[position]
