@@ -34,7 +34,7 @@ from .relations import (
     sample_function,
     superpose,
 )
-from .tables import decode, encode, evaluate, inverse_evaluate
+from .tables import decode, encode, evaluate
 
 __all__ = ["main", "cli"]
 
@@ -142,10 +142,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
 def _cmd_inverse(args: argparse.Namespace) -> None:
     document = _load_document(args.file)
-    if document.kind == "function":
-        columns = inverse_evaluate(document.table, args.value)
-    else:
-        columns = inverse_evaluate_relation(document.table, args.value)
+    columns = inverse_evaluate_relation(document.table, args.value)
     print(" ".join(str(column) for column in columns))
 
 

@@ -26,8 +26,9 @@ import json
 import random
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, product
-from typing import Literal
+from typing import Callable, Literal
 
+from .documents import decimal_value
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError, check_result_digits
 from .relations import RelationTable, count_contained, count_hits, entropy
@@ -85,9 +86,8 @@ class SweepPoint:
     precision_observed: float
 
 
-# the report codec's field table: names and readers in SweepPoint field order
+# the report codec's field names, in SweepPoint field order
 _FIELDS = tuple(field.name for field in fields(SweepPoint))
-_CONVERTERS = (int, float, int, float, float)
 _CSV_HEADER = ("S", *_FIELDS[1:])
 
 
@@ -204,13 +204,20 @@ def emit_report(report: ExperimentReport, format: ReportFormat = "csv") -> bytes
     raise ConfigError(f"unknown report format {format!r}")
 
 
-def _parse_point(values: list[object]) -> SweepPoint:
-    """A point from its field values in field order; a wrong field count or a
-    value its converter rejects is a ParseError."""
-    if len(values) != len(_CONVERTERS):
-        raise ParseError(f"expected {len(_CONVERTERS)} fields, got {len(values)}")
+def _json_integer(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _parse_point(values: list[object], integer: Callable[..., int]) -> SweepPoint:
+    """A point from its field values in field order, integer fields read by
+    ``integer``; a wrong field count or a value a reader rejects is a ParseError."""
+    readers = (integer, float, integer, float, float)
+    if len(values) != len(readers):
+        raise ParseError(f"expected {len(readers)} fields, got {len(values)}")
     try:
-        return SweepPoint(*(convert(value) for convert, value in zip(_CONVERTERS, values)))
+        return SweepPoint(*(read(value) for read, value in zip(readers, values)))
     except (TypeError, ValueError, OverflowError) as error:
         raise ParseError(f"bad report field: {error}") from None
 
@@ -230,13 +237,12 @@ def parse_report(data: bytes, format: ReportFormat = "csv") -> ExperimentReport:
             raise ParseError(f"invalid CSV report: {error}") from None
         if not rows or tuple(rows[0]) != _CSV_HEADER:
             raise ParseError(f"expected header {','.join(_CSV_HEADER)}")
-        return ExperimentReport(tuple(_parse_point(row) for row in rows[1:]))
+        return ExperimentReport(tuple(_parse_point(row, decimal_value) for row in rows[1:]))
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as error:
         raise ParseError(f"invalid JSON report: {error}") from None
     if type(payload) is not list or not all(type(entry) is dict for entry in payload):
         raise ParseError("JSON report must be a list of objects")
-    return ExperimentReport(
-        tuple(_parse_point([entry[name] for name in _FIELDS if name in entry]) for entry in payload)
-    )
+    rows = [[entry[name] for name in _FIELDS if name in entry] for entry in payload]
+    return ExperimentReport(tuple(_parse_point(row, _json_integer) for row in rows))

@@ -1,10 +1,10 @@
 """Relation tables, computational entropy, superposition, and stochastic evaluation.
 
 A relation table may mark any set of cells; column i carries v_i marks,
-0 <= v_i <= m. A function table is exactly the v_i <= 1 special case. A column
-is stored as its marked rows, strictly ascending: what a document lists and
-what sampling indexes. Memory is linear in the number of marks whatever m is;
-containment is a bisection and superposition a sorted union per column.
+0 <= v_i <= m. A function table is the v_i <= 1 case, read through the same
+``columns``: each column's marked rows, strictly ascending, what a document
+lists and what sampling indexes. Memory is linear in the number of marks
+whatever m is; containment is a bisection and superposition a sorted union.
 
 Evaluating a relation at an argument picks one of that column's marked rows
 uniformly at random, from the same splitmix64 substream that column uses in
@@ -24,7 +24,7 @@ from typing import Iterable, Literal
 
 from .enumeration import TableShape
 from .errors import DomainError, ShapeError
-from .streams import substream_indices, substream_seed, uniform_index
+from .streams import _CHUNK, substream_indices, substream_seed, uniform_index
 from .tables import FunctionTable, check_position
 
 __all__ = [
@@ -79,7 +79,7 @@ class RelationTable:
     @classmethod
     def from_function(cls, table: FunctionTable) -> RelationTable:
         """View a function table as a relation (v_i <= 1 everywhere)."""
-        return cls(table.shape, tuple((row,) if row else () for row in table.marks))
+        return cls(table.shape, table.columns)
 
     @property
     def mark_counts(self) -> tuple[int, ...]:
@@ -110,20 +110,13 @@ def _marked(rows: tuple[int, ...], row: int) -> bool:
     return index < len(rows) and rows[index] == row
 
 
-def _as_relation(table: RelationTable | FunctionTable) -> RelationTable:
-    if isinstance(table, FunctionTable):
-        return RelationTable.from_function(table)
-    return table
-
-
 def entropy(relation: RelationTable | FunctionTable) -> float:
     """Computational entropy in bits per argument: (1/n) * sum(log2(v_i)).
 
     Columns with no marks contribute 0, so functions and partial functions
     have entropy exactly 0; the maximum is log2(m) when every cell is marked.
     """
-    relation = _as_relation(relation)
-    terms = [math.log2(count) for count in relation.mark_counts if count >= 1]
+    terms = [math.log2(count) for count in map(len, relation.columns) if count >= 1]
     return math.fsum(terms) / relation.shape.n
 
 
@@ -136,7 +129,6 @@ def random_evaluate(
     base from ``randomness``, taken even for an empty column, then the column's
     substream.
     """
-    relation = _as_relation(relation)
     check_position(argument, relation.shape, "argument")
     base = randomness.getrandbits(64)
     rows = relation.columns[argument - 1]
@@ -152,7 +144,6 @@ def sample_function(
     substream per column, so the outcome is independent of column evaluation
     order; per-column choices use masked rejection and are exactly uniform.
     """
-    relation = _as_relation(relation)
     columns = relation.columns
     bases = [randomness.getrandbits(64)] * len(columns)
     picks = substream_indices(bases, range(len(columns)), [len(rows) or 1 for rows in columns])
@@ -171,46 +162,45 @@ def count_hits(
 
     Equal to ``sum(sample_function(relation, randomness).marks in stored_marks
     for _ in range(trials))`` and leaves ``randomness`` in the same state, but
-    works column by column across all trials. With the stored digit strings
-    sorted, the ones that agree with every column drawn so far form one
-    contiguous range, so each trial keeps that range and stops drawing once
-    it is empty. A column is drawn for every live trial in one batch; columns
-    with at most one marked row are forced and draw nothing. Substream draws
-    do not depend on evaluation order, so skipping them changes no outcome.
+    works column by column across a chunk of trials at a time. With the stored
+    digit strings sorted, the ones that agree with every column drawn so far
+    form one contiguous range, which each trial keeps; it stops drawing once
+    the range is empty. A column is drawn for every live trial in one batch;
+    forced columns (at most one marked row) draw nothing. Substream draws do
+    not depend on evaluation order, so skipping them changes no outcome.
     """
-    relation = _as_relation(relation)
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
     stored = tuple(stored)
     _check_shapes(relation.shape, *(table.shape for table in stored))
     targets = sorted(table.marks for table in stored)
-    live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(trials)]
-    if not targets:
-        return 0
-    for index, (rows, column) in enumerate(zip(relation.columns, zip(*targets))):
-        if len(rows) > 1:
-            bases = [base for base, _, _ in live]
-            picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
-            picked = [rows[pick] for pick in picks]
-        else:
-            picked = [rows[0] if rows else 0] * len(live)
-        survivors = []
-        for (base, low, high), row in zip(live, picked):
-            low = bisect_left(column, row, low, high)
-            if low < high and column[low] == row:
-                survivors.append((base, low, bisect_right(column, row, low, high)))
-        live = survivors
-        if not live:
-            break
-    return len(live)
+    columns, hits = tuple(zip(*targets)), 0
+    for start in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - start)
+        live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(size)]
+        for index, (rows, column) in enumerate(zip(relation.columns, columns)):
+            if len(rows) > 1:
+                bases = [base for base, _, _ in live]
+                picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
+                picked = [rows[pick] for pick in picks]
+            else:
+                picked = [rows[0] if rows else 0] * len(live)
+            survivors = []
+            for (base, low, high), row in zip(live, picked):
+                low = bisect_left(column, row, low, high)
+                if low < high and column[low] == row:
+                    survivors.append((base, low, bisect_right(column, row, low, high)))
+            live = survivors
+            if not live:
+                break
+        hits += len(live) if targets else 0
+    return hits
 
 
 def superpose(
     base: RelationTable | FunctionTable, addition: RelationTable | FunctionTable
 ) -> RelationTable:
     """Cell-wise union of two tables of one shape; commutative, associative, idempotent."""
-    base = _as_relation(base)
-    addition = _as_relation(addition)
     _check_shapes(base.shape, addition.shape)
     return RelationTable(
         base.shape, tuple(sorted({*a, *b}) for a, b in zip(base.columns, addition.columns))
@@ -219,7 +209,6 @@ def superpose(
 
 def contains(relation: RelationTable | FunctionTable, function: FunctionTable) -> bool:
     """True iff every marked cell of the function is marked in the relation."""
-    relation = _as_relation(relation)
     _check_shapes(relation.shape, function.shape)
     return all(row == 0 or _marked(rows, row) for rows, row in zip(relation.columns, function.marks))
 
@@ -234,11 +223,10 @@ def count_contained(
     every column may also stay undefined, giving the product of (v_i + 1),
     which counts every contained function down to the empty one.
     """
-    relation = _as_relation(relation)
     if mode == "total-on-support":
-        return math.prod(count for count in relation.mark_counts if count >= 1)
+        return math.prod(count for count in map(len, relation.columns) if count >= 1)
     if mode == "including-partial":
-        return math.prod(count + 1 for count in relation.mark_counts)
+        return math.prod(count + 1 for count in map(len, relation.columns))
     raise DomainError(f"unknown counting mode {mode!r}")
 
 
@@ -246,7 +234,6 @@ def inverse_evaluate_relation(
     relation: RelationTable | FunctionTable, value: int
 ) -> tuple[int, ...]:
     """All columns whose cell at the given row is marked, ascending."""
-    relation = _as_relation(relation)
     check_position(value, relation.shape, "value")
     return tuple(
         column for column, rows in enumerate(relation.columns, start=1) if _marked(rows, value)

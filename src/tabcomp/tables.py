@@ -35,6 +35,11 @@ class FunctionTable:
     def is_total(self) -> bool:
         return all(row != 0 for row in self.marks)
 
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a relation's columns: each column's marked row, or no row."""
+        return tuple((row,) if row else () for row in self.marks)
+
 
 def encode(table: FunctionTable) -> FunctionIndex:
     """Index of a function table: digit i is the marked row of column i, or 0."""

@@ -173,6 +173,13 @@ def test_emit_rejects_unknown_format():
 HEADER = b"S,entropy,contained_total,precision_expected,precision_observed\n"
 
 
+def _json_point(stored_count: bytes, contained_total: bytes) -> bytes:
+    return (
+        b'[{"stored_count": ' + stored_count + b', "entropy": 0.0, "contained_total": '
+        + contained_total + b', "precision_expected": 1.0, "precision_observed": 1.0}]'
+    )
+
+
 MALFORMED_REPORTS = [
     (b"no,such,header\n", "csv"),
     (HEADER + b"1,0.0\n", "csv"),
@@ -189,10 +196,21 @@ MALFORMED_REPORTS = [
     (b"\xff", "csv"),
     (HEADER + b"abc,0.0,1,1.0,1.0\n", "csv"),
     (HEADER + b"1,0.0,1,1.0,1.0,extra\n", "csv"),
+    # integer fields: a CSV decimal token or a JSON integer, nothing that converts to one
+    *((HEADER + row + b",0.0,1,1.0,1.0\n", "csv") for row in (b"1_0", b" 7", b"+7")),
+    (HEADER + b"1,0.0,1_0,1.0,1.0\n", "csv"),
+    *(
+        (_json_point(stored, contained), "json")
+        for stored, contained in (
+            (b"1.5", b"1"), (b"true", b"1"), (b'"7"', b"1"), (b"1", b"1e300"), (b"1", b"true"),
+        )
+    ),
 ]
 
 
 def test_parse_report_rejects_malformed_text():
+    # the malformed JSON points differ from this one only in their integer fields
+    assert parse_report(_json_point(b"1", b"1"), "json").points[0].contained_total == 1
     for data, format in MALFORMED_REPORTS:
         with pytest.raises(ParseError):
             parse_report(data, format)

@@ -55,6 +55,15 @@ CASES: dict[str, list[str | Path]] = {
     "contained_count_6x5.txt": ["contained-count", _RELATION],
     "contained_count_partial_6x5.txt": ["contained-count", _RELATION, "--mode", "including-partial"],
     "entropy_6x5.txt": ["entropy", _RELATION],
+    # the same relation commands read a function document as the relation it is
+    "inverse_function_6x5_value2.txt": ["inverse", _FUNCTION, "--value", "2"],
+    "entropy_function_6x5.txt": ["entropy", _FUNCTION],
+    "contained_count_function_6x5.txt": ["contained-count", _FUNCTION],
+    "contained_count_partial_function_6x5.txt": [
+        "contained-count", _FUNCTION, "--mode", "including-partial",
+    ],
+    "sample_function_6x5_seed7.doc": ["sample", _FUNCTION, "--seed", "7"],
+    "superpose_function_6x5.doc": ["superpose", _FUNCTION, _FUNCTION],
     **{f"number_{shape}.txt": ["number", "--shape", shape, "--k", k] for shape, k in _NUMBERED.items()},
     **{f"unnumber_{shape}.txt": ["unnumber", GOLDEN / f"number_{shape}.txt"] for shape in _NUMBERED},
 }

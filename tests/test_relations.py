@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -21,6 +22,7 @@ from tabcomp import (
     count_contained,
     count_hits,
     entropy,
+    inverse_evaluate,
     inverse_evaluate_relation,
     random_evaluate,
     sample_function,
@@ -216,6 +218,44 @@ def test_function_relation_round_trip(table):
     assert contains(relation, table)
 
 
+@st.composite
+def functions_with_probes(draw):
+    """A function table, a relation and a second function of its shape, a value and an argument."""
+    function = draw(tables(max_n=6, max_m=6))
+    shape = function.shape
+    return (
+        function,
+        draw(relations_of(shape)),
+        draw(tables_of(shape)),
+        draw(st.integers(min_value=1, max_value=shape.m)),
+        draw(st.integers(min_value=1, max_value=shape.n)),
+    )
+
+
+@given(functions_with_probes(), st.integers(0, 2**64 - 1))
+def test_function_table_reads_as_its_relation(case, seed):
+    function, other, probe, value, argument = case
+    relation = RelationTable.from_function(function)
+    assert function.columns == relation.columns
+
+    def results(table):
+        return (
+            entropy(table),
+            count_contained(table, "total-on-support"),
+            count_contained(table, "including-partial"),
+            superpose(table, other),
+            superpose(other, table),
+            contains(table, probe),
+            inverse_evaluate_relation(table, value),
+            count_hits(table, [probe, function], 40, random.Random(seed)),
+            sample_function(table, random.Random(seed)),
+            random_evaluate(table, argument, random.Random(seed)),
+        )
+
+    assert results(function) == results(relation)
+    assert inverse_evaluate_relation(function, value) == inverse_evaluate(function, value)
+
+
 def test_random_evaluate_frequencies():
     relation = RelationTable.from_rows(TableShape(1, 6), [[2, 5]])
     randomness = random.Random(5)
@@ -329,6 +369,8 @@ _EVERY_2X3 = [
 @example((RelationTable.from_function(_ONE), [_ONE]), 300, 5)
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3), 300, 6)
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3 + _EVERY_2X3[:4]), 1, 7)
+# past one chunk of trials: the second chunk goes on from the first one's generator state
+@example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3[:4]), 2049, 8)
 @settings(max_examples=150)
 def test_count_hits_matches_repeated_sampling(case, trials, seed):
     relation, stored = case
@@ -343,11 +385,29 @@ def test_count_hits_matches_repeated_sampling(case, trials, seed):
     assert batched.getstate() == reference.getstate()
 
 
+def test_count_hits_memory_does_not_grow_with_trials():
+    relation = RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3)))
+    tracemalloc.start()
+    try:
+        count_hits(relation, _EVERY_2X3[:1], 20_000, random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of trials is live at a time: about 0.3 MB, where all 20,000 at once take 3.8 MB
+    assert peak < 1_000_000
+
+
 def test_count_hits_edge_cases():
     relation = RelationTable.from_rows(TableShape(2, 2), [[1, 2], [1]])
     stored = [FunctionTable(TableShape(2, 2), (1, 1))]
     assert count_hits(relation, stored, 0, random.Random(1)) == 0
     assert count_hits(relation, [], 5, random.Random(1)) == 0
+    # nothing stored: no hits, yet every trial's base is still drawn
+    randomness, reference = random.Random(2), random.Random(2)
+    assert count_hits(relation, [], 1025, randomness) == 0
+    for _ in range(1025):
+        reference.getrandbits(64)
+    assert randomness.getstate() == reference.getstate()
     with pytest.raises(DomainError):
         count_hits(relation, stored, -1, random.Random(1))
     with pytest.raises(ShapeError):
