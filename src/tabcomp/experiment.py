@@ -11,11 +11,11 @@ All randomness is derived from the one seed in the config: the master
 sequence from one splitmix64 substream, drawn as one batch of a sparse partial
 Fisher–Yates shuffle, and each point's trials from a substream keyed by point
 position. Points therefore never share generator state, and the report
-depends only on the config. Points run one after another, on relations that
-one pass over the master sequence snapshots at each S; a point's trials are
-counted column by column across all trials (``count_hits``), which draws the
-same values as repeated ``sample_function`` calls but skips the draws that
-cannot change the count.
+depends only on the config. The master sequence stays n-digit tuples: a first
+pass snapshots the relation at each S and checks its contained count before
+any trial runs, a second runs the points in order of S on the sorted distinct
+digit strings stored so far. Trials are counted column by column, drawing as
+``sample_function`` would but skipping draws that cannot change the count.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import random
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import Callable, Literal
 
 from .documents import decimal_value
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError, check_result_digits
-from .relations import RelationTable, count_contained, count_hits, entropy
+from .relations import RelationTable, _count_sorted_hits, count_contained, entropy
 from .streams import substream_indices, substream_seed
-from .tables import FunctionTable
 
 __all__ = [
     "ExperimentConfig",
@@ -89,6 +89,7 @@ class SweepPoint:
 # the report codec's field names, in SweepPoint field order
 _FIELDS = tuple(field.name for field in fields(SweepPoint))
 _CSV_HEADER = ("S", *_FIELDS[1:])
+_values = operator.attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
     return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
 
 
-def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
-    """The stored functions, drawn up-front; point S uses the first S of them.
+def _master_sequence(config: ExperimentConfig) -> list[tuple[int, ...]]:
+    """The stored functions' digit strings, drawn up-front; point S uses the first S.
 
     Draw i is ``uniform_index(substream_seed(substream_seed(seed, 0), i), count)``
     over function indices range(N), N = m**n. With distinct=True the count is
@@ -139,24 +140,22 @@ def _master_sequence(config: ExperimentConfig) -> list[FunctionTable]:
         for slot, draw in enumerate(indices):
             indices[slot] = swapped.get(slot + draw, slot + draw)
             swapped[slot + draw] = swapped.get(slot, slot)
-    return [FunctionTable(config.shape, marks) for marks in _marks(indices, config.shape)]
+    return _marks(indices, config.shape)
 
 
 def _run_point(
-    config: ExperimentConfig, master: list[FunctionTable], position: int,
-    relation: RelationTable, contained: int, distinct_count: int,
+    config: ExperimentConfig, position: int, relation: RelationTable, contained: int,
+    targets: list[tuple[int, ...]],
 ) -> SweepPoint:
-    stored_count = config.stored_counts[position]
     # stored functions are total, so every column is non-empty and each
     # contained total function is sampled with probability 1/contained
-    expected = distinct_count / contained
     randomness = random.Random(substream_seed(config.seed, 1, position))
-    hits = count_hits(relation, master[:stored_count], config.trials, randomness)
+    hits = _count_sorted_hits(relation, targets, config.trials, randomness)
     return SweepPoint(
-        stored_count=stored_count,
+        stored_count=config.stored_counts[position],
         entropy=entropy(relation),
         contained_total=contained,
-        precision_expected=expected,
+        precision_expected=len(targets) / contained,
         precision_observed=hits / config.trials,
     )
 
@@ -170,24 +169,25 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
-    master = _master_sequence(config)
-    marked, seen, prefixes, done = [set() for _ in range(config.shape.n)], set(), {}, 0
-    for size in sorted(set(config.stored_counts)):
-        added = [table.marks for table in master[done:size]]
-        for rows, column in zip(marked, zip(*added)):
+    master, counts = _master_sequence(config), config.stored_counts
+    marked, prefixes, done = [set() for _ in range(config.shape.n)], {}, 0
+    for size in sorted(set(counts)):
+        for rows, column in zip(marked, zip(*master[done:size])):
             rows.update(column)
-        seen.update(added)
         done = size
         relation = RelationTable(config.shape, map(sorted, marked))
         contained = count_contained(relation, "total-on-support")
         check_result_digits(contained, error=ConfigError)  # before any trial runs
-        prefixes[size] = (relation, contained, len(seen))
-    return ExperimentReport(
-        tuple(
-            _run_point(config, master, position, *prefixes[count])
-            for position, count in enumerate(config.stored_counts)
-        )
-    )
+        prefixes[size] = (relation, contained)
+    points, targets, seen, done = [None] * len(counts), [], set(), 0
+    for position in sorted(range(len(counts)), key=counts.__getitem__):
+        fresh = set(master[done : counts[position]]).difference(seen)
+        seen.update(fresh)
+        targets += fresh
+        targets.sort()
+        done = counts[position]
+        points[position] = _run_point(config, position, *prefixes[done], targets)
+    return ExperimentReport(tuple(points))
 
 
 def emit_report(report: ExperimentReport, format: ReportFormat = "csv") -> bytes:
@@ -196,30 +196,30 @@ def emit_report(report: ExperimentReport, format: ReportFormat = "csv") -> bytes
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        writer.writerows(astuple(point) for point in report.points)
+        writer.writerows(map(_values, report.points))
         return buffer.getvalue().encode("utf-8")
     if format == "json":
-        payload = [asdict(point) for point in report.points]
+        payload = [dict(zip(_FIELDS, _values(point))) for point in report.points]
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {format!r}")
 
 
-def _json_integer(value: object) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
 def _parse_point(values: list[object], integer: Callable[..., int]) -> SweepPoint:
-    """A point from its field values in field order, integer fields read by
-    ``integer``; a wrong field count or a value a reader rejects is a ParseError."""
+    """A point from its field values in field order, integer fields read by ``integer``;
+    a wrong field count, a rejected value or one outside a sweep's range (NaN too) is a ParseError."""
     readers = (integer, float, integer, float, float)
     if len(values) != len(readers):
         raise ParseError(f"expected {len(readers)} fields, got {len(values)}")
     try:
-        return SweepPoint(*(read(value) for read, value in zip(readers, values)))
+        point = SweepPoint(*(read(value) for read, value in zip(readers, values)))
     except (TypeError, ValueError, OverflowError) as error:
         raise ParseError(f"bad report field: {error}") from None
+    if not (
+        min(point.stored_count, point.contained_total) >= 1 and 0 <= point.entropy < float("inf")
+        and 0 < point.precision_expected <= 1 and 0 <= point.precision_observed <= 1
+    ):
+        raise ParseError(f"report field out of range: {point}")
+    return point
 
 
 def parse_report(data: bytes, format: ReportFormat = "csv") -> ExperimentReport:
@@ -242,7 +242,11 @@ def parse_report(data: bytes, format: ReportFormat = "csv") -> ExperimentReport:
         payload = json.loads(text)
     except (ValueError, RecursionError) as error:
         raise ParseError(f"invalid JSON report: {error}") from None
-    if type(payload) is not list or not all(type(entry) is dict for entry in payload):
-        raise ParseError("JSON report must be a list of objects")
-    rows = [[entry[name] for name in _FIELDS if name in entry] for entry in payload]
-    return ExperimentReport(tuple(_parse_point(row, _json_integer) for row in rows))
+    if type(payload) is not list or not all(
+        type(entry) is dict and entry.keys() == set(_FIELDS)
+        and type(entry["stored_count"]) is type(entry["contained_total"]) is int
+        for entry in payload
+    ):
+        raise ParseError(f"JSON report must list objects keyed {', '.join(_FIELDS)}, counts as integers")
+    rows = [[entry[name] for name in _FIELDS] for entry in payload]
+    return ExperimentReport(tuple(_parse_point(row, int) for row in rows))

@@ -99,8 +99,7 @@ class RelationTable:
 
 def _check_shapes(shape: TableShape, *others: TableShape) -> None:
     for other in others:
-        # identity first: a sweep's tables all share one shape object
-        if other is not shape and other != shape:
+        if other != shape:
             raise ShapeError(f"shape mismatch: {shape} vs {other}")
 
 
@@ -173,7 +172,14 @@ def count_hits(
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
     stored = tuple(stored)
     _check_shapes(relation.shape, *(table.shape for table in stored))
-    targets = sorted(table.marks for table in stored)
+    return _count_sorted_hits(relation, sorted(table.marks for table in stored), trials, randomness)
+
+
+def _count_sorted_hits(
+    relation: RelationTable | FunctionTable, targets: list[tuple[int, ...]],
+    trials: int, randomness: random.Random,
+) -> int:
+    """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked."""
     columns, hits = tuple(zip(*targets)), 0
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)

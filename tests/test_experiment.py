@@ -123,7 +123,7 @@ def test_repeats_lower_expected_precision():
     # with repeats allowed, expectation counts the distinct stored functions:
     # 6 draws at 2x2, where only 4 functions exist, hold fewer than 6 distinct ones
     config = ExperimentConfig(TableShape(2, 2), (6,), trials=100, seed=3, distinct=False)
-    distinct = len({table.marks for table in experiment._master_sequence(config)})
+    distinct = len(set(experiment._master_sequence(config)))
     point = run_sweep(config).points[0]
     assert distinct < 6
     assert point.precision_expected == pytest.approx(distinct / point.contained_total, abs=1e-12)
@@ -173,11 +173,21 @@ def test_emit_rejects_unknown_format():
 HEADER = b"S,entropy,contained_total,precision_expected,precision_observed\n"
 
 
-def _json_point(stored_count: bytes, contained_total: bytes) -> bytes:
-    return (
-        b'[{"stored_count": ' + stored_count + b', "entropy": 0.0, "contained_total": '
-        + contained_total + b', "precision_expected": 1.0, "precision_observed": 1.0}]'
+def _json_point(**changes: bytes) -> bytes:
+    """A one-point JSON report, well formed but for the changed or added keys."""
+    fields = dict(
+        stored_count=b"1", entropy=b"0.0", contained_total=b"1",
+        precision_expected=b"1.0", precision_observed=b"1.0",
     )
+    fields.update(changes)
+    return b"[{" + b", ".join(b'"%s": %s' % (key.encode(), value) for key, value in fields.items()) + b"}]"
+
+
+def _csv_point(index: int, value: bytes) -> bytes:
+    """A one-point CSV report, well formed but for field ``index``."""
+    fields = [b"1", b"0.0", b"1", b"1.0", b"1.0"]
+    fields[index] = value
+    return HEADER + b",".join(fields) + b"\n"
 
 
 MALFORMED_REPORTS = [
@@ -200,17 +210,44 @@ MALFORMED_REPORTS = [
     *((HEADER + row + b",0.0,1,1.0,1.0\n", "csv") for row in (b"1_0", b" 7", b"+7")),
     (HEADER + b"1,0.0,1_0,1.0,1.0\n", "csv"),
     *(
-        (_json_point(stored, contained), "json")
+        (_json_point(stored_count=stored, contained_total=contained), "json")
         for stored, contained in (
             (b"1.5", b"1"), (b"true", b"1"), (b'"7"', b"1"), (b"1", b"1e300"), (b"1", b"true"),
+        )
+    ),
+    # ranges a sweep writes: counts from 1, entropy at least 0, expected precision in (0, 1],
+    # observed precision in [0, 1], and no NaN or infinity in a float field
+    *((_csv_point(index, b"0"), "csv") for index in (0, 2)),
+    *((_csv_point(1, value), "csv") for value in (b"-1.0", b"-1e-300")),
+    *((_csv_point(3, value), "csv") for value in (b"0.0", b"-0.5", b"1.0000001", b"7.0")),
+    *((_csv_point(4, value), "csv") for value in (b"-0.1", b"1.5")),
+    *(
+        (_csv_point(index, value), "csv")
+        for index in (1, 3, 4)
+        for value in (b"nan", b"inf", b"-inf", b"1e400", b"NaN", b"Infinity")
+    ),
+    *(
+        (_json_point(**change), "json")
+        for change in (
+            dict(stored_count=b"0"), dict(stored_count=b"-3"), dict(contained_total=b"0"),
+            dict(entropy=b"-1.0"), dict(precision_expected=b"7.0"), dict(precision_expected=b"0"),
+            dict(precision_observed=b"-0.5"), dict(precision_observed=b"2"),
+            dict(entropy=b"NaN"), dict(precision_expected=b"NaN"), dict(precision_observed=b"NaN"),
+            dict(entropy=b"Infinity"), dict(entropy=b"1e400"), dict(precision_observed=b"-Infinity"),
+            dict(extra=b"9"), dict(S=b"1"),
         )
     ),
 ]
 
 
 def test_parse_report_rejects_malformed_text():
-    # the malformed JSON points differ from this one only in their integer fields
-    assert parse_report(_json_point(b"1", b"1"), "json").points[0].contained_total == 1
+    # the malformed points differ from these only in the fields they change or add
+    assert parse_report(_json_point(), "json") == parse_report(_csv_point(0, b"1"), "csv")
+    assert parse_report(_json_point(), "json").points[0].contained_total == 1
+    # range edges a sweep can write
+    assert parse_report(_csv_point(4, b"0.0"), "csv").points[0].precision_observed == 0.0
+    assert parse_report(_csv_point(3, b"1e-300"), "csv").points[0].precision_expected == 1e-300
+    assert parse_report(_json_point(entropy=b"3.5"), "json").points[0].entropy == 3.5
     for data, format in MALFORMED_REPORTS:
         with pytest.raises(ParseError):
             parse_report(data, format)
@@ -249,7 +286,7 @@ def _scalar_master(config):
         for _ in range(n):
             index, digit = divmod(index, m)
             digits.append(digit + 1)
-        sequence.append(FunctionTable(config.shape, tuple(reversed(digits))))
+        sequence.append(tuple(reversed(digits)))
     return sequence
 
 
@@ -276,7 +313,7 @@ def test_master_sequence_matches_scalar_shuffle(config):
     master = experiment._master_sequence(config)
     assert master == _scalar_master(config)
     if config.distinct:
-        assert len({table.marks for table in master}) == len(master)
+        assert len(set(master)) == len(master)
 
 
 def test_master_prefixes_are_uniform_ordered_samples():
@@ -286,7 +323,7 @@ def test_master_prefixes_are_uniform_ordered_samples():
     pairs = Counter()
     for seed in range(600):
         master = experiment._master_sequence(ExperimentConfig(shape, (2,), trials=1, seed=seed))
-        pairs[tuple(table.marks[0] for table in master)] += 1
+        pairs[tuple(marks[0] for marks in master)] += 1
     assert sorted(pairs) == [pair for pair in itertools.product((1, 2, 3), repeat=2) if pair[0] != pair[1]]
     assert all(abs(count / 600 - 1 / 6) <= 0.06 for count in pairs.values())
 
@@ -299,17 +336,42 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
     calls = []
     run_point = experiment._run_point
 
-    def recording(config, master, position, relation, contained, distinct_count):
-        calls.append((position, relation, contained, distinct_count))
-        return run_point(config, master, position, relation, contained, distinct_count)
+    def recording(config, position, relation, contained, targets):
+        # the sweep extends one targets list as S grows, so keep a copy
+        calls.append((position, relation, contained, list(targets)))
+        return run_point(config, position, relation, contained, targets)
 
     with mock.patch.object(experiment, "_run_point", recording):
         report = run_sweep(config)
-    master = _scalar_master(config)
-    assert [position for position, _, _, _ in calls] == list(range(len(config.stored_counts)))
-    for (position, relation, contained, distinct_count), point in zip(calls, report.points):
-        stored = master[: config.stored_counts[position]]
-        assert relation == reduce(superpose, stored, RelationTable.empty(config.shape))
+    master, counts = _scalar_master(config), config.stored_counts
+    # every point runs once, in order of S, ties in sweep order
+    assert [position for position, _, _, _ in calls] == sorted(
+        range(len(counts)), key=counts.__getitem__
+    )
+    for position, relation, contained, targets in calls:
+        stored = master[: counts[position]]
+        tables = [FunctionTable(config.shape, marks) for marks in stored]
+        assert relation == reduce(superpose, tables, RelationTable.empty(config.shape))
         assert contained == count_contained(relation, "total-on-support")
-        assert distinct_count == len({table.marks for table in stored})
-        assert point.stored_count == config.stored_counts[position]
+        assert targets == sorted(set(stored))
+        assert report.points[position].precision_expected == len(set(stored)) / contained
+        assert report.points[position].stored_count == counts[position]
+
+
+def test_saturating_sweep_builds_no_function_table(monkeypatch):
+    built = []
+    post_init = FunctionTable.__post_init__
+
+    def counting(self):
+        built.append(self.marks)
+        post_init(self)
+
+    monkeypatch.setattr(FunctionTable, "__post_init__", counting)
+    shape = TableShape(8, 2)
+    report = run_sweep(ExperimentConfig(shape, tuple(range(32, 257, 32)), trials=10, seed=1))
+    assert report.points[-1].contained_total == 256
+    assert report.points[-1].precision_observed == 1.0
+    assert built == []
+    # the count sees a build
+    FunctionTable(shape, (1,) * 8)
+    assert built == [(1,) * 8]

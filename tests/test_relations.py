@@ -28,6 +28,7 @@ from tabcomp import (
     sample_function,
     superpose,
 )
+from tabcomp.relations import _count_sorted_hits
 
 from strategies import relations, relations_of, shapes, tables, tables_of
 
@@ -383,6 +384,21 @@ def test_count_hits_matches_repeated_sampling(case, trials, seed):
     assert count_hits(relation, stored, trials, batched) == expected
     # the same draws were consumed, so the generators stay in step
     assert batched.getstate() == reference.getstate()
+
+
+@given(stored_sets(), st.booleans(), st.integers(min_value=0, max_value=300), st.integers(0, 2**64 - 1))
+@example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3 + _EVERY_2X3[:4]), False, 300, 9)
+@example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3), True, 1025, 10)
+@settings(max_examples=150)
+def test_count_hits_is_the_core_on_sorted_distinct_digit_strings(case, empty, trials, seed):
+    # what the sweep passes: digit strings, sorted, each once, maybe none
+    relation, stored = case
+    stored = [] if empty else stored
+    public, core = random.Random(seed), random.Random(seed)
+    targets = sorted({table.marks for table in stored})
+    hits = _count_sorted_hits(relation, targets, trials, core)
+    assert count_hits(relation, stored, trials, public) == hits
+    assert public.getstate() == core.getstate()
 
 
 def test_count_hits_memory_does_not_grow_with_trials():
