@@ -16,7 +16,7 @@ from functools import cache, reduce
 from . import __version__
 from .documents import TableDocument, decimal_value, parse_table_document, serialize_table_document
 from .enumeration import (
-    FunctionIndex,
+    FunctionTable,
     TableShape,
     anti_diagonal,
     count_functions,
@@ -27,6 +27,7 @@ from .enumeration import (
 from .errors import DomainError, ParseError, check_result_digits
 from .experiment import ExperimentConfig, emit_report, run_sweep
 from .relations import (
+    RelationTable,
     contains,
     count_contained,
     entropy,
@@ -34,7 +35,7 @@ from .relations import (
     sample_function,
     superpose,
 )
-from .tables import decode, encode, evaluate
+from .tables import evaluate
 
 __all__ = ["main", "cli"]
 
@@ -83,8 +84,13 @@ def _read_document_bytes(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {error.strerror or error}") from None
 
 
-def _load_document(path: str) -> TableDocument:
-    return parse_table_document(_read_document_bytes(path))
+def _load_table(path: str, function_needed: str | None = None) -> FunctionTable | RelationTable:
+    """The table of the document at ``path``, '-' for standard input; with
+    ``function_needed``, a relation document is a domain error with that message."""
+    document = parse_table_document(_read_document_bytes(path))
+    if function_needed and document.kind != "function":
+        raise DomainError(function_needed)
+    return document.table
 
 
 def _reject_repeated_stdin(paths: list[str]) -> None:
@@ -93,20 +99,17 @@ def _reject_repeated_stdin(paths: list[str]) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    if document.kind != "function":
-        raise DomainError("encode needs a function document")
-    index = encode(document.table)
-    print(" ".join(str(digit) for digit in index.digits))
+    table = _load_table(args.file, "encode needs a function document")
+    print(" ".join(str(digit) for digit in table.digits))
 
 
 def _cmd_decode(args: argparse.Namespace) -> None:
-    index = FunctionIndex(TableShape(*args.shape), args.k)
-    sys.stdout.write(serialize_table_document(TableDocument(decode(index))))
+    table = FunctionTable(TableShape(*args.shape), args.k)
+    sys.stdout.write(serialize_table_document(TableDocument(table)))
 
 
 def _cmd_number(args: argparse.Namespace) -> None:
-    index = FunctionIndex(TableShape(*args.shape), args.k)
+    index = FunctionTable(TableShape(*args.shape), args.k)
     # the number passes the function count of each table on the diagonal before its own
     diagonal = index.shape.diagonal
     for m in range(1, diagonal):
@@ -133,59 +136,55 @@ def _cmd_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    if document.kind != "function":
-        raise DomainError("eval needs a function document; use sample for relations")
-    value = evaluate(document.table, args.arg)
+    table = _load_table(args.file, "eval needs a function document; use sample for relations")
+    value = evaluate(table, args.arg)
     print("undefined" if value is None else value)
 
 
 def _cmd_inverse(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    columns = inverse_evaluate_relation(document.table, args.value)
+    table = _load_table(args.file)
+    columns = inverse_evaluate_relation(table, args.value)
     print(" ".join(str(column) for column in columns))
 
 
 def _cmd_entropy(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    print(repr(entropy(document.table)))
+    table = _load_table(args.file)
+    print(repr(entropy(table)))
 
 
 def _cmd_superpose(args: argparse.Namespace) -> None:
     if len(args.files) < 2:
         raise ParseError("superpose needs at least two documents")
     _reject_repeated_stdin(args.files)
-    tables = [_load_document(path).table for path in args.files]
+    tables = [_load_table(path) for path in args.files]
     combined = reduce(superpose, tables)
     sys.stdout.write(serialize_table_document(TableDocument(combined)))
 
 
 def _cmd_contains(args: argparse.Namespace) -> None:
     _reject_repeated_stdin([args.relation, args.function])
-    relation_document = _load_document(args.relation)
-    function_document = _load_document(args.function)
-    if function_document.kind != "function":
-        raise DomainError("second document must be a function")
-    held = contains(relation_document.table, function_document.table)
+    relation = _load_table(args.relation)
+    function = _load_table(args.function, "second document must be a function")
+    held = contains(relation, function)
     print("true" if held else "false")
 
 
 def _cmd_contained_count(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    count = count_contained(document.table, args.mode)
+    table = _load_table(args.file)
+    count = count_contained(table, args.mode)
     check_result_digits(count)
     print(count)
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
-    document = _load_document(args.file)
-    table = sample_function(document.table, random.Random(args.seed))
+    relation = _load_table(args.file)
+    table = sample_function(relation, random.Random(args.seed))
     sys.stdout.write(serialize_table_document(TableDocument(table)))
 
 
 def _cmd_antidiag(args: argparse.Namespace) -> None:
     shape = TableShape(*args.shape)
-    functions = [FunctionIndex(shape, digits) for digits in args.k]
+    functions = [FunctionTable(shape, digits) for digits in args.k]
     result = anti_diagonal(functions)
     print(" ".join(str(digit) for digit in result.digits))
 
@@ -202,12 +201,69 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     sys.stdout.write(emit_report(report, args.format).decode("utf-8"))
 
 
-def _add_document_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("file", nargs="?", default="-", help="document path, '-' for standard input")
+# argument specs shared by several subcommands: (name or flag, add_argument options)
+_FILE = ("file", dict(nargs="?", default="-", help="document path, '-' for standard input"))
+_SHAPE = ("--shape", dict(type=_shape_argument, required=True, help="table shape, e.g. 4x7"))
+_K = ("--k", dict(type=_digits_argument, required=True, help="digit string, e.g. '1 2 4 7'"))
+_SEED = ("--seed", dict(type=_integer_argument, required=True, help="random seed"))
 
-
-def _add_shape_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shape", type=_shape_argument, required=True, help="table shape, e.g. 4x7")
+# subcommand name: (handler, help, argument specs in the order they are added)
+_COMMANDS = {
+    "encode": (_cmd_encode, "print the digit string of a function document", [_FILE]),
+    "decode": (_cmd_decode, "print the function document for a digit string", [_SHAPE, _K]),
+    "number": (_cmd_number, "print the global number of a function", [_SHAPE, _K]),
+    "unnumber": (_cmd_unnumber, "print the shape and digits of a global number", [
+        ("number", dict(type=_integer_argument, help="global function number, 1-based")),
+    ]),
+    "shape": (_cmd_shape, "print the shape of a table number", [
+        ("number", dict(type=_integer_argument, help="table number in diagonal order, 1-based")),
+    ]),
+    "count": (_cmd_count, "print how many functions fit a shape", [_SHAPE]),
+    "eval": (_cmd_eval, "apply a function document to one argument", [
+        _FILE,
+        ("--arg", dict(type=_integer_argument, required=True, help="argument position, 1-based")),
+    ]),
+    "inverse": (_cmd_inverse, "print the arguments mapped to a value", [
+        _FILE,
+        ("--value", dict(type=_integer_argument, required=True, help="value position, 1-based")),
+    ]),
+    "entropy": (_cmd_entropy, "print the computational entropy of a document", [_FILE]),
+    "superpose": (_cmd_superpose, "union documents into one relation document", [
+        ("files", dict(nargs="+", help="two or more document paths, '-' for standard input")),
+    ]),
+    "contains": (_cmd_contains, "test whether a relation contains a function", [
+        ("relation", dict(help="relation document path, '-' for standard input")),
+        ("function", dict(help="function document path, '-' for standard input")),
+    ]),
+    "contained-count": (_cmd_contained_count, "count the functions a relation contains", [
+        _FILE,
+        ("--mode", dict(
+            choices=("total-on-support", "including-partial"),
+            default="total-on-support",
+            help="count functions total on the marked columns, or all partial ones too",
+        )),
+    ]),
+    "sample": (_cmd_sample, "draw one contained function from a relation", [_FILE, _SEED]),
+    "antidiag": (_cmd_antidiag, "print a digit string differing from each input", [
+        _SHAPE,
+        ("--k", {**_K[1], "action": "append", "help": "digit string of one function; repeat once per function"}),
+    ]),
+    "sweep": (_cmd_sweep, "run the storage/precision sweep and print the report", [
+        _SHAPE,
+        ("--counts", dict(type=_counts_argument, required=True, help="stored-set sizes, e.g. 1,2,4,8")),
+        ("--trials", dict(type=_integer_argument, required=True, help="samples per sweep point")),
+        _SEED,
+        ("--format", dict(choices=("csv", "json"), default="csv", help="report format")),
+        ("--workers", dict(
+            type=_integer_argument,
+            default=1,
+            help="a validated hint; points run sequentially and the output never depends on it",
+        )),
+        ("--distinct", dict(
+            action=argparse.BooleanOptionalAction, default=True, help="draw distinct stored functions"
+        )),
+    ]),
+}
 
 
 @cache  # one parser per process: parse_args keeps no state in it
@@ -218,104 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    encode_parser = sub.add_parser("encode", help="print the digit string of a function document")
-    _add_document_argument(encode_parser)
-    encode_parser.set_defaults(handler=_cmd_encode)
-
-    decode_parser = sub.add_parser("decode", help="print the function document for a digit string")
-    _add_shape_option(decode_parser)
-    decode_parser.add_argument("--k", type=_digits_argument, required=True, help="digit string, e.g. '1 2 4 7'")
-    decode_parser.set_defaults(handler=_cmd_decode)
-
-    number_parser = sub.add_parser("number", help="print the global number of a function")
-    _add_shape_option(number_parser)
-    number_parser.add_argument("--k", type=_digits_argument, required=True, help="digit string, e.g. '1 2 4 7'")
-    number_parser.set_defaults(handler=_cmd_number)
-
-    unnumber_parser = sub.add_parser("unnumber", help="print the shape and digits of a global number")
-    unnumber_parser.add_argument("number", type=_integer_argument, help="global function number, 1-based")
-    unnumber_parser.set_defaults(handler=_cmd_unnumber)
-
-    shape_parser = sub.add_parser("shape", help="print the shape of a table number")
-    shape_parser.add_argument("number", type=_integer_argument, help="table number in diagonal order, 1-based")
-    shape_parser.set_defaults(handler=_cmd_shape)
-
-    count_parser = sub.add_parser("count", help="print how many functions fit a shape")
-    _add_shape_option(count_parser)
-    count_parser.set_defaults(handler=_cmd_count)
-
-    eval_parser = sub.add_parser("eval", help="apply a function document to one argument")
-    _add_document_argument(eval_parser)
-    eval_parser.add_argument("--arg", type=_integer_argument, required=True, help="argument position, 1-based")
-    eval_parser.set_defaults(handler=_cmd_eval)
-
-    inverse_parser = sub.add_parser("inverse", help="print the arguments mapped to a value")
-    _add_document_argument(inverse_parser)
-    inverse_parser.add_argument("--value", type=_integer_argument, required=True, help="value position, 1-based")
-    inverse_parser.set_defaults(handler=_cmd_inverse)
-
-    entropy_parser = sub.add_parser("entropy", help="print the computational entropy of a document")
-    _add_document_argument(entropy_parser)
-    entropy_parser.set_defaults(handler=_cmd_entropy)
-
-    superpose_parser = sub.add_parser("superpose", help="union documents into one relation document")
-    superpose_parser.add_argument("files", nargs="+", help="two or more document paths, '-' for standard input")
-    superpose_parser.set_defaults(handler=_cmd_superpose)
-
-    contains_parser = sub.add_parser("contains", help="test whether a relation contains a function")
-    contains_parser.add_argument("relation", help="relation document path, '-' for standard input")
-    contains_parser.add_argument("function", help="function document path, '-' for standard input")
-    contains_parser.set_defaults(handler=_cmd_contains)
-
-    contained_parser = sub.add_parser("contained-count", help="count the functions a relation contains")
-    _add_document_argument(contained_parser)
-    contained_parser.add_argument(
-        "--mode",
-        choices=("total-on-support", "including-partial"),
-        default="total-on-support",
-        help="count functions total on the marked columns, or all partial ones too",
-    )
-    contained_parser.set_defaults(handler=_cmd_contained_count)
-
-    sample_parser = sub.add_parser("sample", help="draw one contained function from a relation")
-    _add_document_argument(sample_parser)
-    sample_parser.add_argument("--seed", type=_integer_argument, required=True, help="random seed")
-    sample_parser.set_defaults(handler=_cmd_sample)
-
-    antidiag_parser = sub.add_parser("antidiag", help="print a digit string differing from each input")
-    _add_shape_option(antidiag_parser)
-    antidiag_parser.add_argument(
-        "--k",
-        type=_digits_argument,
-        action="append",
-        required=True,
-        help="digit string of one function; repeat once per function",
-    )
-    antidiag_parser.set_defaults(handler=_cmd_antidiag)
-
-    sweep_parser = sub.add_parser("sweep", help="run the storage/precision sweep and print the report")
-    _add_shape_option(sweep_parser)
-    sweep_parser.add_argument(
-        "--counts", type=_counts_argument, required=True, help="stored-set sizes, e.g. 1,2,4,8"
-    )
-    sweep_parser.add_argument("--trials", type=_integer_argument, required=True, help="samples per sweep point")
-    sweep_parser.add_argument("--seed", type=_integer_argument, required=True, help="random seed")
-    sweep_parser.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    sweep_parser.add_argument(
-        "--workers",
-        type=_integer_argument,
-        default=1,
-        help="a validated hint; points run sequentially and the output never depends on it",
-    )
-    sweep_parser.add_argument(
-        "--distinct",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="draw distinct stored functions",
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-
+    for name, (handler, help, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -327,12 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         args.handler(args)
-    except ParseError as error:
+    except ValueError as error:  # every library error; ParseError is malformed input
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(error, ParseError) else 1
     return 0
 
 

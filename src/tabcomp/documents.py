@@ -16,10 +16,9 @@ import re
 from dataclasses import dataclass
 from typing import Literal
 
-from .enumeration import TableShape
+from .enumeration import FunctionTable, TableShape
 from .errors import ParseError, ShapeError
 from .relations import RelationTable
-from .tables import FunctionTable
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
 

@@ -4,6 +4,7 @@ A finite discrete function maps n positional arguments to at most one of m
 positional values. Each such function is identified within its n×m table by a
 digit string k = k_1...k_n in base m+1: k_i = j records that argument i maps
 to value j, and k_i = 0 records that the function is undefined at argument i.
+That string is the function's table, ``FunctionTable`` (alias ``FunctionIndex``).
 A table of shape (n, m) therefore holds exactly (m+1)^n total and partial
 functions, from the empty function (all zeros) to the maximal one (all m's).
 
@@ -26,6 +27,7 @@ from .errors import ArityError, DomainError, InvalidIndexError, ShapeError
 
 __all__ = [
     "TableShape",
+    "FunctionTable",
     "FunctionIndex",
     "max_fn",
     "diagonal_of_table",
@@ -61,42 +63,49 @@ class TableShape:
         return f"{self.n}x{self.m}"
 
 
-def checked_digits(shape: TableShape, digits: Iterable[int]) -> tuple[int, ...]:
-    """The digit string of a function of ``shape`` as a tuple: n ints, each in 0..m.
-
-    The one validation rule for digit strings, shared by ``FunctionIndex`` and
-    ``tables.FunctionTable``; raises InvalidIndexError otherwise.
-    """
-    digits = tuple(digits)
-    if len(digits) != shape.n:
-        raise InvalidIndexError(f"expected {shape.n} digits for shape {shape}, got {len(digits)}")
-    for position, digit in enumerate(digits, start=1):
-        if type(digit) is not int or not 0 <= digit <= shape.m:
-            raise InvalidIndexError(f"digit {digit!r} at position {position} outside 0..{shape.m}")
-    return digits
-
-
 @dataclass(frozen=True)
-class FunctionIndex:
-    """The digit string identifying one finite discrete function in its table.
+class FunctionTable:
+    """A possibly partial finite discrete function of shape (n, m), held as its digit string.
 
-    ``digits[i]`` is the base-(m+1) digit for argument position i+1; digit 0
-    marks an argument with no value. The first digit is the most significant
-    when the string is read as a number.
+    ``marks[i]``, also ``digits[i]``, is the marked row (1..m) of column i+1, or 0
+    when column i+1 has no marked cell. The first digit is the most significant.
     """
 
     shape: TableShape
-    digits: tuple[int, ...]
+    marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", checked_digits(self.shape, self.digits))
+        """The one validation rule for digit strings: n ints, each in 0..m."""
+        shape, marks = self.shape, tuple(self.marks)
+        if len(marks) != shape.n:
+            raise InvalidIndexError(f"expected {shape.n} digits for shape {shape}, got {len(marks)}")
+        for position, digit in enumerate(marks, start=1):
+            if type(digit) is not int or not 0 <= digit <= shape.m:
+                raise InvalidIndexError(f"digit {digit!r} at position {position} outside 0..{shape.m}")
+        object.__setattr__(self, "marks", marks)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return self.marks
+
+    @property
+    def is_total(self) -> bool:
+        return all(row != 0 for row in self.marks)
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a relation's columns: each column's marked row, or no row."""
+        return tuple((row,) if row else () for row in self.marks)
 
     def as_natural(self) -> int:
         """The digit string read as a natural number in base m+1."""
         value = 0
-        for digit in self.digits:
+        for digit in self.marks:
             value = value * (self.shape.m + 1) + digit
         return value
+
+
+FunctionIndex = FunctionTable
 
 
 def max_fn(j: int) -> int:
@@ -145,7 +154,7 @@ def _offset_before(table: int) -> int:
     return sum(count_functions(table_shape(i)) for i in range(1, table))
 
 
-def function_number(index: FunctionIndex) -> int:
+def function_number(index: FunctionTable) -> int:
     """Absolute 1-based position of a function in the global enumeration.
 
     The functions of all earlier tables in the diagonal order come first;
@@ -155,7 +164,7 @@ def function_number(index: FunctionIndex) -> int:
     return _offset_before(table_number(index.shape)) + index.as_natural() + 1
 
 
-def function_from_number(number: int) -> FunctionIndex:
+def function_from_number(number: int) -> FunctionTable:
     """Inverse of function_number: recover (shape, digits) from a global position.
 
     Walks the diagonal order accumulating per-table function counts until the
@@ -177,24 +186,24 @@ def function_from_number(number: int) -> FunctionIndex:
     digits = [0] * shape.n
     for position in reversed(range(shape.n)):
         remaining, digits[position] = divmod(remaining, base)
-    return FunctionIndex(shape, tuple(digits))
+    return FunctionTable(shape, tuple(digits))
 
 
-def successor(index: FunctionIndex) -> FunctionIndex | None:
+def successor(index: FunctionTable) -> FunctionTable | None:
     """Next index in base-(m+1) counting order within the same shape.
 
     Returns None once the maximal index m_1...m_n is reached (end of table).
     """
-    digits = list(index.digits)
+    digits = list(index.marks)
     for position in reversed(range(len(digits))):
         if digits[position] < index.shape.m:
             digits[position] += 1
-            return FunctionIndex(index.shape, tuple(digits))
+            return FunctionTable(index.shape, tuple(digits))
         digits[position] = 0
     return None
 
 
-def anti_diagonal(functions: Sequence[FunctionIndex] | Iterable[FunctionIndex]) -> FunctionIndex:
+def anti_diagonal(functions: Sequence[FunctionTable] | Iterable[FunctionTable]) -> FunctionTable:
     """Build a function of shape (n, m) absent from a list of n such functions.
 
     The result g differs from the i-th input at argument i: digit_i(g) is the
@@ -212,5 +221,5 @@ def anti_diagonal(functions: Sequence[FunctionIndex] | Iterable[FunctionIndex]) 
         raise ArityError(
             f"shape {shape} needs exactly {shape.n} functions, got {len(functions)}"
         )
-    digits = tuple(1 if fn.digits[i] == 0 else 0 for i, fn in enumerate(functions))
-    return FunctionIndex(shape, digits)
+    digits = tuple(1 if fn.marks[i] == 0 else 0 for i, fn in enumerate(functions))
+    return FunctionTable(shape, digits)

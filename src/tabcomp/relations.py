@@ -22,10 +22,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .enumeration import TableShape
+from .enumeration import FunctionTable, TableShape
 from .errors import DomainError, ShapeError
 from .streams import _CHUNK, substream_indices, substream_seed, uniform_index
-from .tables import FunctionTable, check_position
+from .tables import check_position
 
 __all__ = [
     "RelationTable",
@@ -68,33 +68,9 @@ class RelationTable:
                 )
 
     @classmethod
-    def empty(cls, shape: TableShape) -> RelationTable:
-        return cls(shape, ((),) * shape.n)
-
-    @classmethod
     def from_rows(cls, shape: TableShape, rows_per_column: Iterable[Iterable[int]]) -> RelationTable:
         """Build from one iterable of ascending rows (1..m) per column."""
         return cls(shape, rows_per_column)
-
-    @classmethod
-    def from_function(cls, table: FunctionTable) -> RelationTable:
-        """View a function table as a relation (v_i <= 1 everywhere)."""
-        return cls(table.shape, table.columns)
-
-    @property
-    def mark_counts(self) -> tuple[int, ...]:
-        """Per-column mark counts v_1..v_n."""
-        return tuple(map(len, self.columns))
-
-    @property
-    def is_function(self) -> bool:
-        return all(count <= 1 for count in self.mark_counts)
-
-    def to_function(self) -> FunctionTable:
-        """The function this relation is, when every column has at most one mark."""
-        if not self.is_function:
-            raise ShapeError("relation has a column with more than one mark")
-        return FunctionTable(self.shape, tuple(rows[0] if rows else 0 for rows in self.columns))
 
 
 def _check_shapes(shape: TableShape, *others: TableShape) -> None:

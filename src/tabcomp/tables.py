@@ -1,54 +1,28 @@
-"""Extensional function tables and their inspection-based evaluation.
+"""Inspection-based evaluation of function tables, and their identity codec.
 
-A function table marks at most one cell per argument column; evaluation reads
-the marked row of a column, inversion reads the marked columns of a row.
-Storage is one small integer per column (0 = unmarked); the n×m grid is a
-view, not the representation.
+A function table is its digit string (``enumeration.FunctionTable``): one small
+integer per column, 0 = unmarked; the n×m grid is a view. Evaluation reads the
+marked row of a column, inversion reads the marked columns of a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
-from .enumeration import FunctionIndex, TableShape, checked_digits
+from .enumeration import FunctionTable, TableShape
 from .errors import DomainError
 
-__all__ = ["FunctionTable", "encode", "decode", "evaluate", "inverse_evaluate"]
+__all__ = ["encode", "decode", "evaluate", "inverse_evaluate"]
 
 
-@dataclass(frozen=True)
-class FunctionTable:
-    """A possibly partial finite discrete function of shape (n, m).
-
-    ``marks[i]`` is the marked row (1..m) of column i+1, or 0 when column i+1
-    has no marked cell.
-    """
-
-    shape: TableShape
-    marks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marks", checked_digits(self.shape, self.marks))
-
-    @property
-    def is_total(self) -> bool:
-        return all(row != 0 for row in self.marks)
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The table as a relation's columns: each column's marked row, or no row."""
-        return tuple((row,) if row else () for row in self.marks)
+def encode(table: FunctionTable) -> FunctionTable:
+    """Index of a function table: the table itself (digit i is column i's marked row, or 0)."""
+    return table
 
 
-def encode(table: FunctionTable) -> FunctionIndex:
-    """Index of a function table: digit i is the marked row of column i, or 0."""
-    return FunctionIndex(table.shape, table.marks)
-
-
-def decode(index: FunctionIndex) -> FunctionTable:
-    """Table of a function index; inverse of encode."""
-    return FunctionTable(index.shape, index.digits)
+def decode(index: FunctionTable) -> FunctionTable:
+    """Table of a function index: the index itself; inverse of encode."""
+    return index
 
 
 def check_position(position: int, shape: TableShape, axis: Literal["argument", "value"]) -> None:

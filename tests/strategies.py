@@ -1,10 +1,10 @@
-"""Shared hypothesis strategies for shapes, indices, tables, and relations."""
+"""Shared hypothesis strategies for shapes, function tables (indices), and relations."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from tabcomp import FunctionIndex, FunctionTable, RelationTable, TableShape
+from tabcomp import FunctionIndex, RelationTable, TableShape
 
 
 def shapes(max_n: int = 8, max_m: int = 8) -> st.SearchStrategy[TableShape]:
@@ -24,14 +24,6 @@ def indices_of(shape: TableShape) -> st.SearchStrategy[FunctionIndex]:
 
 def indices(max_n: int = 8, max_m: int = 8) -> st.SearchStrategy[FunctionIndex]:
     return shapes(max_n, max_m).flatmap(indices_of)
-
-
-def tables_of(shape: TableShape) -> st.SearchStrategy[FunctionTable]:
-    return indices_of(shape).map(lambda index: FunctionTable(index.shape, index.digits))
-
-
-def tables(max_n: int = 8, max_m: int = 8) -> st.SearchStrategy[FunctionTable]:
-    return shapes(max_n, max_m).flatmap(tables_of)
 
 
 def relations_of(shape: TableShape) -> st.SearchStrategy[RelationTable]:

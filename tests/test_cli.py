@@ -250,47 +250,71 @@ def test_version_flag(capsys):
     assert out.startswith("tabcomp ")
 
 
+# (argv, stdin, exit status, last stderr line): cli.main writes an "error: ..." line whole;
+# a usage error ends with argparse's own message, its prefix and choice quoting vary by version
 EXIT_CORPUS = [
     # domain and validation errors leave status 1
-    (["eval", "{f1247}", "--arg", "9"], None, 1),
-    (["eval", "{full22}", "--arg", "1"], None, 1),
-    (["encode", "{full22}"], None, 1),
-    (["decode", "--shape", "2x2", "--k", "3 0"], None, 1),
-    (["decode", "--shape", "2x2", "--k", "1"], None, 1),
-    (["count", "--shape", "0x2"], None, 1),
-    (["unnumber", "0"], None, 1),
-    (["shape", "0"], None, 1),
-    (["inverse", "{f1247}", "--value", "8"], None, 1),
-    (["contains", "{full22}", "{f1247}"], None, 1),
-    (["superpose", "{f12}", "{f1247}"], None, 1),
-    (["antidiag", "--shape", "2x2", "--k", "0 0"], None, 1),
-    (["sweep", "--shape", "2x2", "--counts", "5", "--trials", "10", "--seed", "1"], None, 1),
-    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "0", "--seed", "1"], None, 1),
-    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "10", "--seed", "-1"], None, 1),
+    (["eval", "{f1247}", "--arg", "9"], None, 1, "error: argument 9 outside columns 1..4"),
+    (["eval", "{full22}", "--arg", "1"], None, 1,
+     "error: eval needs a function document; use sample for relations"),
+    (["encode", "{full22}"], None, 1, "error: encode needs a function document"),
+    (["decode", "--shape", "2x2", "--k", "3 0"], None, 1, "error: digit 3 at position 1 outside 0..2"),
+    (["decode", "--shape", "2x2", "--k", "1"], None, 1, "error: expected 2 digits for shape 2x2, got 1"),
+    (["count", "--shape", "0x2"], None, 1, "error: argument count n must be a positive integer, got 0"),
+    (["unnumber", "0"], None, 1, "error: global function number must be a positive integer, got 0"),
+    (["shape", "0"], None, 1, "error: table number must be a positive integer, got 0"),
+    (["inverse", "{f1247}", "--value", "8"], None, 1, "error: value 8 outside rows 1..7"),
+    (["contains", "{full22}", "{f1247}"], None, 1, "error: shape mismatch: 2x2 vs 4x7"),
+    (["superpose", "{f12}", "{f1247}"], None, 1, "error: shape mismatch: 2x2 vs 4x7"),
+    (["antidiag", "--shape", "2x2", "--k", "0 0"], None, 1,
+     "error: shape 2x2 needs exactly 2 functions, got 1"),
+    (["sweep", "--shape", "2x2", "--counts", "5", "--trials", "10", "--seed", "1"], None, 1,
+     "error: cannot store 5 distinct total functions in shape 2x2; only 4 exist"),
+    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "0", "--seed", "1"], None, 1,
+     "error: trials 0 is not a positive integer"),
+    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "10", "--seed", "-1"], None, 1,
+     "error: seed -1 outside 0..2**64-1"),
     # malformed input, unreadable files, and usage errors leave status 2
-    (["eval", "{bad}", "--arg", "1"], None, 2),
-    (["eval", "-", "--arg", "1"], "table 2 2 function\n3 0\n", 2),
-    (["encode", "/nonexistent/missing.doc"], None, 2),
-    (["nosuchcommand"], None, 2),
-    ([], None, 2),
-    (["decode", "--shape", "4by7", "--k", "0 0 0 0"], None, 2),
-    (["decode", "--shape", "4x7"], None, 2),
-    (["decode", "--shape", "4x7", "--k", "1 a 4 7"], None, 2),
-    (["unnumber", "abc"], None, 2),
-    (["eval", "{f1247}", "--arg", "x"], None, 2),
-    (["superpose", "{f12}"], None, 2),
-    (["superpose", "-", "-"], "table 2 2 function\n1 2\n", 2),
-    (["contained-count", "{full22}", "--mode", "bogus"], None, 2),
-    (["sweep", "--shape", "2x2", "--counts", "1;2", "--trials", "10", "--seed", "1"], None, 2),
-    (["sweep", "--shape", "2x2", "--counts", "1,2", "--trials", "10", "--seed", "1", "--format", "xml"], None, 2),
+    (["eval", "{bad}", "--arg", "1"], None, 2, "error: line 2, column 1: digit 3 exceeds value count 2"),
+    (["eval", "-", "--arg", "1"], "table 2 2 function\n3 0\n", 2,
+     "error: line 2, column 1: digit 3 exceeds value count 2"),
+    (["encode", "/nonexistent/missing.doc"], None, 2,
+     "error: cannot read /nonexistent/missing.doc: No such file or directory"),
+    (["nosuchcommand"], None, 2,
+     "argument command: invalid choice: 'nosuchcommand' (choose from 'encode', 'decode', 'number', "
+     "'unnumber', 'shape', 'count', 'eval', 'inverse', 'entropy', 'superpose', 'contains', "
+     "'contained-count', 'sample', 'antidiag', 'sweep')"),
+    ([], None, 2, "the following arguments are required: command"),
+    (["decode", "--shape", "4by7", "--k", "0 0 0 0"], None, 2,
+     "argument --shape: shape must look like '4x7', got '4by7'"),
+    (["decode", "--shape", "4x7"], None, 2, "the following arguments are required: --k"),
+    (["decode", "--shape", "4x7", "--k", "1 a 4 7"], None, 2,
+     "argument --k: digits must be space-separated non-negative integers, got '1 a 4 7'"),
+    (["unnumber", "abc"], None, 2, "argument number: expected a decimal integer, got 'abc'"),
+    (["eval", "{f1247}", "--arg", "x"], None, 2, "argument --arg: expected a decimal integer, got 'x'"),
+    (["superpose", "{f12}"], None, 2, "error: superpose needs at least two documents"),
+    (["superpose", "-", "-"], "table 2 2 function\n1 2\n", 2,
+     "error: standard input '-' may appear at most once"),
+    (["contained-count", "{full22}", "--mode", "bogus"], None, 2,
+     "argument --mode: invalid choice: 'bogus' (choose from 'total-on-support', 'including-partial')"),
+    (["sweep", "--shape", "2x2", "--counts", "1;2", "--trials", "10", "--seed", "1"], None, 2,
+     "argument --counts: counts must be comma-separated non-negative integers, got '1;2'"),
+    (["sweep", "--shape", "2x2", "--counts", "1,2", "--trials", "10", "--seed", "1", "--format", "xml"],
+     None, 2, "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
     # only ASCII digits are digits: int() and \d also accept other scripts
-    (["decode", "--shape", "\uff12x\uff12", "--k", "1 2"], None, 2),
-    (["decode", "--shape", "2x2\n", "--k", "1 2"], None, 2),
-    (["decode", "--shape", "2x2", "--k", "\uff11 \u0662"], None, 2),
-    (["sweep", "--shape", "2x2", "--counts", "\uff11,2", "--trials", "10", "--seed", "1"], None, 2),
-    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "\u0663", "--seed", "1"], None, 2),
-    (["unnumber", "\u0663"], None, 2),
-    (["encode", "-"], "table 2 2 function\n\uff11 \u0663\n", 2),
+    (["decode", "--shape", "\uff12x\uff12", "--k", "1 2"], None, 2,
+     "argument --shape: shape must look like '4x7', got '\uff12x\uff12'"),
+    (["decode", "--shape", "2x2\n", "--k", "1 2"], None, 2,
+     "argument --shape: shape must look like '4x7', got '2x2\\n'"),
+    (["decode", "--shape", "2x2", "--k", "\uff11 \u0662"], None, 2,
+     "argument --k: digits must be space-separated non-negative integers, got '\uff11 \u0662'"),
+    (["sweep", "--shape", "2x2", "--counts", "\uff11,2", "--trials", "10", "--seed", "1"], None, 2,
+     "argument --counts: counts must be comma-separated non-negative integers, got '\uff11,2'"),
+    (["sweep", "--shape", "2x2", "--counts", "1", "--trials", "\u0663", "--seed", "1"], None, 2,
+     "argument --trials: expected a decimal integer, got '\u0663'"),
+    (["unnumber", "\u0663"], None, 2, "argument number: expected a decimal integer, got '\u0663'"),
+    (["encode", "-"], "table 2 2 function\n\uff11 \u0663\n", 2,
+     "error: line 2, column 1: digit '\uff11' is not a decimal integer"),
 ]
 
 # results with more decimal digits than str() writes leave status 1, refused before the work
@@ -303,15 +327,27 @@ OVERSIZED = [
     ["sweep", "--shape", "20000x2", "--counts", "1,5", "--trials", "100", "--seed", "1"],
     ["contained-count", "{wide}", "--mode", "including-partial"],
 ]
-EXIT_CORPUS += [(argv, None, 1) for argv in OVERSIZED]
+TOO_LARGE = f"error: the result has more than {sys.get_int_max_str_digits()} decimal digits"
+EXIT_CORPUS += [(argv, None, 1, TOO_LARGE) for argv in OVERSIZED]
+# each case keeps the id pytest gave it when the corpus had no stderr line
+EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
 
 
-@pytest.mark.parametrize("argv_template,stdin,expected", EXIT_CORPUS)
-def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, expected):
+def _unquoted(text: str) -> str:
+    return text.replace("'", "")
+
+
+@pytest.mark.parametrize("argv_template,stdin,expected,last_line", EXIT_CORPUS, ids=EXIT_IDS)
+def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, expected, last_line):
     argv = [piece.format(**docs) for piece in argv_template]
     code, _, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == expected
-    assert err != ""
+    last = err.splitlines()[-1]
+    if last_line.startswith("error: "):
+        assert last == last_line
+    else:
+        assert last.startswith("tabcomp")
+        assert _unquoted(last).endswith(_unquoted(last_line))
 
 
 @pytest.mark.parametrize("argv_template", OVERSIZED)
@@ -375,7 +411,7 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, docs):
     random.Random(5).shuffle(order)
     results = {}
     for case in order:
-        argv_template, stdin, _ = EXIT_CORPUS[case]
+        argv_template, stdin, _, _ = EXIT_CORPUS[case]
         argv = [piece.format(**docs) for piece in argv_template]
         results.setdefault(case, []).append(run_cli(capsys, argv, stdin, monkeypatch))
     assert all(first == second for first, second in results.values())

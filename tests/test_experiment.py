@@ -6,6 +6,7 @@ import itertools
 import math
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -253,6 +254,14 @@ def test_parse_report_rejects_malformed_text():
             parse_report(data, format)
 
 
+def test_golden_reports_round_trip():
+    paths = sorted((Path(__file__).parent / "golden").glob("sweep_*"))
+    assert len(paths) == 8
+    for path in paths:
+        data, format = path.read_bytes(), path.suffix[1:]
+        assert emit_report(parse_report(data, format), format) == data
+
+
 @given(st.binary() | st.text().map(str.encode), st.sampled_from(["csv", "json"]))
 def test_parse_report_raises_only_parse_error(data, format):
     try:
@@ -351,7 +360,7 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
     for position, relation, contained, targets in calls:
         stored = master[: counts[position]]
         tables = [FunctionTable(config.shape, marks) for marks in stored]
-        assert relation == reduce(superpose, tables, RelationTable.empty(config.shape))
+        assert relation == reduce(superpose, tables, RelationTable(config.shape, ((),) * config.shape.n))
         assert contained == count_contained(relation, "total-on-support")
         assert targets == sorted(set(stored))
         assert report.points[position].precision_expected == len(set(stored)) / contained

@@ -17,7 +17,7 @@ from tabcomp import (
     inverse_evaluate,
 )
 
-from strategies import indices, tables
+from strategies import indices
 
 
 class CountingMarks(tuple):
@@ -65,24 +65,33 @@ def test_empty_and_total_flags():
     assert FunctionTable(TableShape(3, 2), (1, 2, 1)).is_total
 
 
+def test_a_table_is_its_index():
+    table = FunctionTable(TableShape(4, 7), [1, 2, 4, 7])
+    assert FunctionIndex is FunctionTable
+    assert table.marks == (1, 2, 4, 7)
+    assert table.digits is table.marks
+
+
 @given(indices())
 def test_decode_inverts_encode(index):
+    assert decode(index) is index
     assert encode(decode(index)) == index
 
 
-@given(tables())
+@given(indices())
 def test_encode_inverts_decode(table):
+    assert encode(table) is table
     assert decode(encode(table)) == table
 
 
-@given(tables())
+@given(indices())
 def test_evaluate_reads_the_marked_row(table):
     for argument in range(1, table.shape.n + 1):
         row = table.marks[argument - 1]
         assert evaluate(table, argument) == (row if row != 0 else None)
 
 
-@given(tables(max_n=6, max_m=6))
+@given(indices(max_n=6, max_m=6))
 def test_inverse_evaluate_agrees_with_evaluate(table):
     for value in range(1, table.shape.m + 1):
         preimage = inverse_evaluate(table, value)
