@@ -117,7 +117,7 @@ def sample_function(
 
     Consumes a single 64-bit value from ``randomness`` and derives one
     substream per column, so the outcome is independent of column evaluation
-    order; per-column choices use masked rejection and are exactly uniform.
+    order; per-column choices use multiply-high rejection and are exactly uniform.
     """
     columns = relation.columns
     bases = [randomness.getrandbits(64)] * len(columns)
@@ -141,8 +141,10 @@ def count_hits(
     digit strings sorted, the ones that agree with every column drawn so far
     form one contiguous range, which each trial keeps; it stops drawing once
     the range is empty. A column is drawn for every live trial in one batch;
-    forced columns (at most one marked row) draw nothing. Substream draws do
-    not depend on evaluation order, so skipping them changes no outcome.
+    forced columns (at most one marked row) draw nothing, and a forced column
+    whose digit every stored digit string holds is skipped, since it cannot
+    narrow a range. Substream draws do not depend on evaluation order, so
+    skipping them changes no outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
@@ -155,12 +157,20 @@ def _count_sorted_hits(
     relation: RelationTable | FunctionTable, targets: list[tuple[int, ...]],
     trials: int, randomness: random.Random,
 ) -> int:
-    """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked."""
-    columns, hits = tuple(zip(*targets)), 0
+    """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked.
+
+    Only the columns that can narrow a range are visited: one with two or more
+    marked rows, or a forced one whose digit some stored digit string lacks."""
+    columns = [
+        (index, rows, column)
+        for index, (rows, column) in enumerate(zip(relation.columns, zip(*targets)))
+        if len(rows) > 1 or not min(column) == max(column) == (rows[0] if rows else 0)
+    ]
+    hits = 0
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)
         live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(size)]
-        for index, (rows, column) in enumerate(zip(relation.columns, columns)):
+        for index, rows, column in columns:
             if len(rows) > 1:
                 bases = [base for base, _, _ in live]
                 picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))

@@ -4,17 +4,27 @@ splitmix64 arithmetic only: derived substreams depend on (base, salt indices),
 never on evaluation order, so column draws and sweep points can run in any
 order or in parallel without changing results.
 
+A draw from range(count) is Lemire's multiply-high rule (D. Lemire, "Fast Random
+Integer Generation in an Interval", ACM TOMACS 29(1), 2019): a 64k-bit word W
+gives the index ``W * count >> 64k`` and is redrawn only while the product's low
+64k bits are below ``2**64k % count``, so every index is reached by the same number of
+words and the draw is exactly uniform.
+
 The batch form ``substream_indices`` runs the finalizer on up to ``_CHUNK``
 values at once: value i sits in bits 128i..128i+63 of one Python int, and each
 whole-int step is masked back to those low halves. A sum or a product of values
 below 2**64 stays below 2**128, so no carry crosses a lane; a right shift only
 pulls the next lane's low bits into this lane's high half, which the mask clears.
+The lanes then carry the 128-bit product of each word and a count of at most
+2**64: its high half is the index, its low half what the rejection reads.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
+from itertools import compress, repeat
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -39,22 +49,24 @@ def substream_seed(base: int, *salts: int) -> int:
 
 
 def uniform_index(seed: int, count: int) -> int:
-    """Exactly uniform draw from range(count), by masked rejection on a splitmix64 stream.
+    """Exactly uniform draw from range(count), by multiply-high rejection on a splitmix64 stream.
 
-    A candidate joins the stream's next words, the first lowest, one per 64 bits of count - 1.
+    The stream's next k words, the first lowest, join into one 64k-bit word W,
+    with k = 1 for counts up to 2**64 and one more word per 64 bits of count - 1 past it.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    bits = (count - 1).bit_length()
+    width = 64 * max(1, -(-(count - 1).bit_length() // 64))
+    threshold, mask = (1 << width) % count, (1 << width) - 1
     state = seed & _MASK64
     while True:
-        candidate = 0
-        for shift in range(0, bits, 64):
+        word = 0
+        for shift in range(0, width, 64):
             state = (state + _GAMMA) & _MASK64
-            candidate |= _finalize(state) << shift
-        candidate &= (1 << bits) - 1
-        if candidate < count:
-            return candidate
+            word |= _finalize(state) << shift
+        product = word * count
+        if product & mask >= threshold:
+            return product >> width
 
 
 def _lanes(values: Sequence[int]) -> int:
@@ -76,21 +88,35 @@ def substream_indices(
     bases: Sequence[int], salts: Sequence[int], counts: Sequence[int]
 ) -> list[int]:
     """``uniform_index(substream_seed(base, salt), count)`` lane by lane; bases, salts < 2**64."""
-    candidates: list[int] = []
+    if len(counts) and min(counts) < 1:
+        raise ValueError(f"count must be positive, got {min(counts)}")
+    # one count of at most 2**64 in every lane, as in each trial-loop draw: one multiply per chunk
+    same = len(counts) and counts.count(counts[0]) == len(counts) and counts[0] <= 1 << 64
+    result: list[int] = []
+    lows: list[int] = []
+    thresholds: list[int] = []
     for start in range(0, len(bases), _CHUNK):
         chunk, size = slice(start, start + _CHUNK), min(_CHUNK, len(bases) - start)
         ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
         lanes = ones * _MASK64
         offsets = (_lanes(salts[chunk]) + ones) * _GAMMA & lanes
         seeds = _finalize_lanes(_lanes(bases[chunk]) + offsets, lanes)
-        words = _finalize_lanes(seeds + ones * _GAMMA, lanes).to_bytes(16 * size, sys.byteorder)
-        candidates += array("Q", words)[_LOW::2]
-    result = []
-    for base, salt, count, candidate in zip(bases, salts, counts, candidates):
-        if not 0 < count <= 1 << 64:  # words joined into one candidate, or the scalar's error
-            candidate = uniform_index(substream_seed(base, salt), count)
-        elif (candidate := candidate & (1 << (count - 1).bit_length()) - 1) >= count:
-            # rejected: go on from the stream's next state, as uniform_index does
-            candidate = uniform_index(substream_seed(base, salt) + _GAMMA, count)
-        result.append(candidate)
+        words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
+        if same:
+            halves = array("Q", (words * counts[0]).to_bytes(16 * size, sys.byteorder))
+            result += halves[1 - _LOW :: 2]
+            lows += halves[_LOW::2]
+            continue
+        words = array("Q", words.to_bytes(16 * size, sys.byteorder))[_LOW::2]
+        products = list(map(operator.mul, words, counts[chunk]))
+        result += map(operator.rshift, products, repeat(64))
+        lows += map(operator.and_, products, repeat(_MASK64))
+        # a count above 2**64 has threshold 2**64, above every low half: the scalar draw takes it
+        thresholds += map(operator.mod, repeat(1 << 64), counts[chunk])
+    for lane in compress(
+        range(len(result)),
+        map(operator.lt, lows, repeat((1 << 64) % counts[0]) if same else thresholds),
+    ):
+        # the scalar draw rejects the same first word and goes on, or joins words past 2**64
+        result[lane] = uniform_index(substream_seed(bases[lane], salts[lane]), counts[lane])
     return result

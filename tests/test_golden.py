@@ -4,7 +4,9 @@ The files under ``tests/golden/`` pin the random streams, the global
 numbering and what the relation commands print. A change that alters any of
 them is a change to a random stream, to the numbering or to a relation
 operation's answer, and must be declared as such. ``relation_6x5.doc`` and
-``function_6x5.doc`` are inputs only.
+``function_6x5.doc`` are inputs only. ``help.txt`` pins ``tabcomp --help`` and
+each ``tabcomp <command> --help`` word for word, at 80 columns: argparse wraps
+and aligns help differently across Python versions, so only the words count.
 
 Runs under pytest, or without it as a script from the repository root:
 
@@ -16,10 +18,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
-from tabcomp.cli import main
+from tabcomp.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +82,27 @@ def _run(argv: list[str | Path]) -> tuple[int, bytes]:
     return code, buffer.getvalue().encode("utf-8")
 
 
+def _help_text() -> str:
+    """``tabcomp --help`` and each ``tabcomp <command> --help``, each after a ``$`` line."""
+    pages = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80", "NO_COLOR": "1"}):
+        os.environ.pop("FORCE_COLOR", None)  # argparse colours help from Python 3.14 on
+        for argv in [["--help"]] + [[name, "--help"] for name in _COMMANDS]:
+            code, output = _run(argv)
+            assert code == 0
+            pages.append(f"$ tabcomp {' '.join(argv)}\n{output.decode('utf-8')}")
+    return "\n".join(pages)
+
+
+def _help_words(text: str) -> list[str]:
+    """Help text as its words, across the versions argparse formats it in.
+
+    Python 3.10 alone appends "(default: True)" to the --distinct help, and
+    versions before 3.10 head the options "optional arguments:".
+    """
+    return text.replace("optional arguments:", "options:").replace(" (default: True)", "").split()
+
+
 def pytest_generate_tests(metafunc):
     if "name" in metafunc.fixturenames:
         metafunc.parametrize("name", sorted(CASES))
@@ -85,6 +110,10 @@ def pytest_generate_tests(metafunc):
 
 def test_golden_bytes(name):
     assert _run(CASES[name]) == (0, (GOLDEN / name).read_bytes())
+
+
+def test_help_text():
+    assert _help_words(_help_text()) == _help_words((GOLDEN / "help.txt").read_text())
 
 
 if __name__ == "__main__":
@@ -102,6 +131,13 @@ if __name__ == "__main__":
         elif code != 0 or not path.exists() or output != path.read_bytes():
             mismatches += 1
             print(f"MISMATCH {path} (exit {code})", file=sys.stderr)
-    if not write:
+    help_path = GOLDEN / "help.txt"
+    if write:
+        help_path.write_text(_help_text())
+        print(f"wrote {help_path}", file=sys.stderr)
+    else:
         print(f"{len(CASES) - mismatches} of {len(CASES)} golden files match", file=sys.stderr)
+        if _help_words(_help_text()) != _help_words(help_path.read_text()):
+            mismatches += 1
+            print(f"MISMATCH {help_path}", file=sys.stderr)
     sys.exit(1 if mismatches else 0)

@@ -341,7 +341,8 @@ def stored_sets(draw):
 
     The stored list may repeat functions or not, and may hold partial
     functions; the relation is their superposition, sometimes with extra
-    marks that no stored function uses.
+    marks that no stored function uses. Unlike the sweep's, the list may
+    also end in functions drawn apart from the relation, most outside it.
     """
     shape = draw(shapes(max_n=6, max_m=6))
     stored = draw(st.lists(indices_of(shape), min_size=1, max_size=12))
@@ -352,6 +353,8 @@ def stored_sets(draw):
         relation = superpose(relation, table)
     if draw(st.booleans()):
         relation = superpose(relation, draw(relations_of(shape)))
+    if draw(st.booleans()):
+        stored += draw(st.lists(indices_of(shape), max_size=4))
     return relation, stored
 
 
@@ -360,6 +363,12 @@ _SATURATED = TableShape(2, 3)
 _EVERY_2X3 = [
     FunctionTable(_SATURATED, marks) for marks in itertools.product(range(1, 4), repeat=2)
 ]
+# columns 2 and 3 are forced: every draw picks row 2 there, and 0 in the empty column 3
+_FORCED = RelationTable(TableShape(4, 3), ((1, 2, 3), (2,), (), (1, 3)))
+
+
+def _over_forced(*stored: tuple[int, ...]) -> tuple[RelationTable, list[FunctionTable]]:
+    return _FORCED, [FunctionTable(_FORCED.shape, marks) for marks in stored]
 
 
 @given(stored_sets(), st.integers(min_value=1, max_value=300), st.integers(0, 2**64 - 1))
@@ -368,6 +377,15 @@ _EVERY_2X3 = [
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3 + _EVERY_2X3[:4]), 1, 7)
 # past one chunk of trials: the second chunk goes on from the first one's generator state
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3[:4]), 2049, 8)
+# every stored function holds the forced digits, so columns 2 and 3 are skipped
+@example(_over_forced((1, 2, 0, 1), (2, 2, 0, 3), (3, 2, 0, 1)), 600, 1)
+# some stored functions lack the forced column's row, or all of them do
+@example(_over_forced((1, 2, 0, 1), (3, 1, 0, 1), (2, 3, 0, 3)), 600, 2)
+@example(_over_forced((1, 1, 0, 1), (2, 1, 0, 3)), 600, 3)
+# partial functions over the empty column, some of them defined there
+@example(_over_forced((1, 2, 0, 1), (1, 2, 2, 1), (2, 2, 3, 3)), 600, 4)
+# outside the relation in a drawn column, and the empty function
+@example(_over_forced((1, 2, 0, 2), (0, 0, 0, 0), (3, 2, 0, 3)), 600, 5)
 @settings(max_examples=150)
 def test_count_hits_matches_repeated_sampling(case, trials, seed):
     relation, stored = case

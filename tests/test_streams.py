@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -14,24 +16,48 @@ from tabcomp.streams import substream_indices, substream_seed, uniform_index
 _MASK64 = (1 << 64) - 1
 
 
-def _single_word_uniform_index(seed: int, count: int) -> int:
-    """``uniform_index`` as it drew before counts above 2**64 joined words."""
-    if count == 1:
-        return 0
-    mask = (1 << (count - 1).bit_length()) - 1
-    state = seed & _MASK64
+def _splitmix64(state: int):
+    """The words of Vigna's reference splitmix64 generator started at ``state``."""
     while True:
-        state = (state + streams._GAMMA) & _MASK64
-        candidate = streams._finalize(state) & mask
-        if candidate < count:
-            return candidate
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
 
 
-@given(st.integers(0, _MASK64), st.integers(1, 1 << 64))
+def _lemire_index(seed: int, s: int) -> int:
+    """Lemire's bounded draw from range(s) (arXiv:1805.10941, Algorithm 5) on L-bit words.
+
+    L is the fewest multiple of 64 bits that holds s - 1, at least 64; an L-bit
+    word is the generator's next L / 64 words, the first lowest.
+    """
+    words = _splitmix64(seed)
+    L = 64 * max(1, math.ceil((s - 1).bit_length() / 64))
+
+    def random_word() -> int:
+        return sum(next(words) << shift for shift in range(0, L, 64))
+
+    m = random_word() * s
+    l = m % 2**L
+    if l < s:
+        t = (2**L - s) % s
+        while l < t:
+            m = random_word() * s
+            l = m % 2**L
+    return m >> L
+
+
+@given(st.integers(0, _MASK64), st.integers(1, 1 << 200))
 @example(0, 1 << 64)
 @example(7, 3)
-def test_uniform_index_keeps_its_values_up_to_2_64(seed, count):
-    assert uniform_index(seed, count) == _single_word_uniform_index(seed, count)
+# near 2**64k / 2 about half of all W are rejected: seed 0 rejects its first
+# two words, seed 1 its first two-word W
+@example(0, (1 << 63) + 1)
+@example(1, (1 << 127) + 1)
+@example(9, (1 << 64) + 1)
+def test_uniform_index_is_lemires_multiply_high_draw(seed, count):
+    assert uniform_index(seed, count) == _lemire_index(seed, count)
 
 
 @given(st.integers((1 << 64) + 1, 1 << 300))
@@ -47,7 +73,8 @@ def test_uniform_index_reaches_the_top_word_above_2_64(count):
         assert max(draws) >= count - count // 4
 
 
-_COUNTS = [1, 2, 3, 1 << 5, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 1 << 200]
+# (1 << 63) + 1 rejects about half its lanes, so the batch's rejection path runs
+_COUNTS = [1, 2, 3, 1 << 5, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 1 << 200]
 
 
 @pytest.mark.parametrize("lanes", [0, 1, 2, streams._CHUNK, streams._CHUNK + 1])
@@ -72,3 +99,16 @@ def test_batch_lanes_keep_their_own_counts():
 def test_batch_rejects_a_count_below_one_like_the_scalar_draw():
     with pytest.raises(ValueError):
         substream_indices([1, 2], [0, 0], [3, 0])
+
+
+# the chi-square 0.001 upper tail at count - 1 degrees of freedom
+_CHI2_TAIL = {3: 13.82, 11: 29.59}
+
+
+@pytest.mark.parametrize("count", sorted(_CHI2_TAIL))
+def test_batch_draws_fill_every_bucket_evenly(count):
+    lanes = 1000 * count
+    draws = Counter(substream_indices([12345] * lanes, range(lanes), [count] * lanes))
+    assert sorted(draws) == list(range(count))
+    chi2 = sum((observed - 1000) ** 2 / 1000 for observed in draws.values())
+    assert chi2 < _CHI2_TAIL[count]
