@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import ArityError, DomainError, InvalidIndexError, ShapeError
 
@@ -61,6 +61,13 @@ class TableShape:
 
     def __str__(self) -> str:
         return f"{self.n}x{self.m}"
+
+
+def check_position(position: int, shape: TableShape, axis: Literal["argument", "value"]) -> None:
+    """Reject an argument outside columns 1..n or a value outside rows 1..m."""
+    limit, unit = (shape.n, "columns") if axis == "argument" else (shape.m, "rows")
+    if type(position) is not int or not 1 <= position <= limit:
+        raise DomainError(f"{axis} {position!r} outside {unit} 1..{limit}")
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,9 @@ class ExperimentReport:
 
 
 def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
-    """Each index's n base-m digits plus one, most significant first. Each level
-    halves every piece at ``m ** size``, so n digits decode in sub-quadratic
-    time, until pieces ``width`` digits wide are read off a table of at most 1024."""
+    """Each index's n base-m digits plus one, most significant first: each level
+    halves every piece at ``m ** size`` (sub-quadratic in n) down to ``width``
+    digits, read off a table of at most 1024, or as itself when one digit."""
     n, m, width = shape.n, shape.m, 1
     while width < n and m ** (width + 1) <= 1024:
         width += 1
@@ -115,7 +115,7 @@ def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
         size //= 2
         power = m**size
         pieces = [part for piece in pieces for part in divmod(piece, power)]
-    if m > 1024:
+    if width == 1:
         digits = [piece + 1 for piece in pieces]
     else:
         table = list(product(range(1, m + 1), repeat=width))

@@ -22,10 +22,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .enumeration import FunctionTable, TableShape
+from .enumeration import FunctionTable, TableShape, check_position
 from .errors import DomainError, ShapeError
 from .streams import _CHUNK, substream_indices, substream_seed, uniform_index
-from .tables import check_position
 
 __all__ = [
     "RelationTable",
@@ -140,11 +139,11 @@ def count_hits(
     works column by column across a chunk of trials at a time. With the stored
     digit strings sorted, the ones that agree with every column drawn so far
     form one contiguous range, which each trial keeps; it stops drawing once
-    the range is empty. A column is drawn for every live trial in one batch;
-    forced columns (at most one marked row) draw nothing, and a forced column
-    whose digit every stored digit string holds is skipped, since it cannot
-    narrow a range. Substream draws do not depend on evaluation order, so
-    skipping them changes no outcome.
+    the range is empty. A column is drawn for every live trial in one batch.
+    A forced column (at most one marked row) is never drawn: every trial picks
+    its one row, or no row, so the stored digit strings that lack that digit
+    are dropped before any trial. Substream draws do not depend on evaluation
+    order, so neither skipping them nor the order changes an outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
@@ -159,26 +158,26 @@ def _count_sorted_hits(
 ) -> int:
     """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked.
 
-    Only the columns that can narrow a range are visited: one with two or more
-    marked rows, or a forced one whose digit some stored digit string lacks."""
+    Every trial picks a forced column's one row, or no row, so the stored digit
+    strings without those digits are dropped once, before any trial; only the
+    columns with two or more marked rows are then drawn."""
+    forced = [(i, rows[0] if rows else 0) for i, rows in enumerate(relation.columns) if len(rows) < 2]
+    if forced:
+        targets = [marks for marks in targets if all(marks[i] == row for i, row in forced)]
     columns = [
         (index, rows, column)
         for index, (rows, column) in enumerate(zip(relation.columns, zip(*targets)))
-        if len(rows) > 1 or not min(column) == max(column) == (rows[0] if rows else 0)
+        if len(rows) > 1
     ]
     hits = 0
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)
         live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(size)]
         for index, rows, column in columns:
-            if len(rows) > 1:
-                bases = [base for base, _, _ in live]
-                picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
-                picked = [rows[pick] for pick in picks]
-            else:
-                picked = [rows[0] if rows else 0] * len(live)
+            bases = [base for base, _, _ in live]
+            picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
             survivors = []
-            for (base, low, high), row in zip(live, picked):
+            for (base, low, high), row in zip(live, [rows[pick] for pick in picks]):
                 low = bisect_left(column, row, low, high)
                 if low < high and column[low] == row:
                     survivors.append((base, low, bisect_right(column, row, low, high)))

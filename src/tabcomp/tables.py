@@ -2,15 +2,14 @@
 
 A function table is its digit string (``enumeration.FunctionTable``): one small
 integer per column, 0 = unmarked; the n×m grid is a view. Evaluation reads the
-marked row of a column, inversion reads the marked columns of a row.
+marked row of a column; inversion is the relation lookup, since a function
+table is the relation with at most one mark per column.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
-from .enumeration import FunctionTable, TableShape
-from .errors import DomainError
+from .enumeration import FunctionTable, check_position
+from .relations import inverse_evaluate_relation
 
 __all__ = ["encode", "decode", "evaluate", "inverse_evaluate"]
 
@@ -23,13 +22,6 @@ def encode(table: FunctionTable) -> FunctionTable:
 def decode(index: FunctionTable) -> FunctionTable:
     """Table of a function index: the index itself; inverse of encode."""
     return index
-
-
-def check_position(position: int, shape: TableShape, axis: Literal["argument", "value"]) -> None:
-    """Reject an argument outside columns 1..n or a value outside rows 1..m."""
-    limit, unit = (shape.n, "columns") if axis == "argument" else (shape.m, "rows")
-    if type(position) is not int or not 1 <= position <= limit:
-        raise DomainError(f"{axis} {position!r} outside {unit} 1..{limit}")
 
 
 def evaluate(table: FunctionTable, argument: int) -> int | None:
@@ -48,7 +40,4 @@ def inverse_evaluate(table: FunctionTable, value: int) -> tuple[int, ...]:
     Inspects each column of the row once; the preimage may be empty or contain
     several columns.
     """
-    check_position(value, table.shape, "value")
-    return tuple(
-        column for column, row in enumerate(table.marks, start=1) if row == value
-    )
+    return inverse_evaluate_relation(table, value)

@@ -67,6 +67,15 @@ def test_encode_reads_stdin_by_default(capsys, monkeypatch):
     assert (code, out) == (0, "1 2 4 7\n")
 
 
+def test_stdin_without_a_byte_buffer_is_read_as_text(capsys, monkeypatch):
+    # a replaced sys.stdin, such as io.StringIO, has no .buffer
+    monkeypatch.setattr(sys, "stdin", io.StringIO(F1247))
+    assert run_cli(capsys, ["encode"]) == (0, "1 2 4 7\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("table 4 7 function\n1 2 4\n"))
+    code, out, _ = run_cli(capsys, ["encode"])
+    assert (code, out) == (2, "")
+
+
 def test_decode(capsys):
     code, out, _ = run_cli(capsys, ["decode", "--shape", "4x7", "--k", "1 2 4 7"])
     assert (code, out) == (0, F1247)
@@ -329,6 +338,10 @@ OVERSIZED = [
 ]
 TOO_LARGE = f"error: the result has more than {sys.get_int_max_str_digits()} decimal digits"
 EXIT_CORPUS += [(argv, None, 1, TOO_LARGE) for argv in OVERSIZED]
+EXIT_CORPUS += [
+    (["encode", "-"], "table 0 3 function\n", 2,
+     "error: line 1, column 7: argument count must be at least 1"),
+]
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -29,6 +30,7 @@ from tabcomp import (
     run_sweep,
     superpose,
 )
+from tabcomp.cli import main
 from tabcomp.streams import substream_seed, uniform_index
 
 
@@ -317,12 +319,33 @@ def sweep_configs(draw):
 @example(ExperimentConfig(TableShape(2, 4), (16, 3, 16), trials=5, seed=2))
 @example(ExperimentConfig(TableShape(13, 10), (40,), trials=1, seed=4))
 @example(ExperimentConfig(TableShape(40, 7), (3,), trials=1, seed=5, distinct=False))
+# above 1024 values a piece is one digit, read without a table of m entries
+@example(ExperimentConfig(TableShape(2, 1025), (7, 3), trials=1, seed=11))
+@example(ExperimentConfig(TableShape(2, 1025), (7, 3), trials=1, seed=11, distinct=False))
+@example(ExperimentConfig(TableShape(3, 5000), (7,), trials=1, seed=12))
+@example(ExperimentConfig(TableShape(3, 5000), (7,), trials=1, seed=12, distinct=False))
+@example(ExperimentConfig(TableShape(2, 10**30), (7,), trials=1, seed=13))
+@example(ExperimentConfig(TableShape(2, 10**30), (7,), trials=1, seed=13, distinct=False))
 @settings(max_examples=150)
 def test_master_sequence_matches_scalar_shuffle(config):
     master = experiment._master_sequence(config)
     assert master == _scalar_master(config)
     if config.distinct:
         assert len(set(master)) == len(master)
+
+
+def test_sweep_over_10_30_values_builds_no_table_of_values(capsys):
+    argv = ["sweep", "--shape", f"2x{10**30}", "--counts", "1,2,3", "--trials", "5", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert peak <= 1 << 20
 
 
 def test_master_prefixes_are_uniform_ordered_samples():

@@ -99,6 +99,9 @@ def test_batch_lanes_keep_their_own_counts():
 def test_batch_rejects_a_count_below_one_like_the_scalar_draw():
     with pytest.raises(ValueError):
         substream_indices([1, 2], [0, 0], [3, 0])
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            uniform_index(1, count)
 
 
 # the chi-square 0.001 upper tail at count - 1 degrees of freedom
