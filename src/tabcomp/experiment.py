@@ -15,7 +15,8 @@ depends only on the config. The master sequence stays n-digit tuples: a first
 pass snapshots the relation at each S and checks its contained count before
 any trial runs, a second runs the points in order of S on the sorted distinct
 digit strings stored so far. Trials are counted column by column, drawing as
-``sample_function`` would but skipping draws that cannot change the count.
+``sample_function`` would but skipping draws that cannot change the count; a
+saturated point, whose stored functions are every contained one, draws none.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Literal
 from .documents import decimal_value
 from .enumeration import TableShape
 from .errors import ConfigError, ParseError, check_result_digits
-from .relations import RelationTable, _count_sorted_hits, count_contained, entropy
+from .relations import RelationTable, _count_sorted_hits, _sorted_relation, count_contained, entropy
 from .streams import substream_indices, substream_seed
 
 __all__ = [
@@ -103,7 +104,8 @@ class ExperimentReport:
 def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
     """Each index's n base-m digits plus one, most significant first: each level
     halves every piece at ``m ** size`` (sub-quadratic in n) down to ``width``
-    digits, read off a table of at most 1024, or as itself when one digit."""
+    digits, read off a table of at most 1024, or as itself when one digit. When
+    ``width == n`` each index is one table entry, returned as it is."""
     n, m, width = shape.n, shape.m, 1
     while width < n and m ** (width + 1) <= 1024:
         width += 1
@@ -119,6 +121,8 @@ def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
         digits = [piece + 1 for piece in pieces]
     else:
         table = list(product(range(1, m + 1), repeat=width))
+        if width == n:
+            return list(map(table.__getitem__, pieces))
         digits = list(chain.from_iterable(map(table.__getitem__, pieces)))
     return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
 
@@ -147,10 +151,14 @@ def _run_point(
     config: ExperimentConfig, position: int, relation: RelationTable, contained: int,
     targets: list[tuple[int, ...]],
 ) -> SweepPoint:
-    # stored functions are total, so every column is non-empty and each
-    # contained total function is sampled with probability 1/contained
-    randomness = random.Random(substream_seed(config.seed, 1, position))
-    hits = _count_sorted_hits(relation, targets, config.trials, randomness)
+    """One point on ``targets``, the distinct stored digit strings, sorted. Each is
+    a total function in the relation, so no column is empty; when they number
+    ``contained`` every sampled function is stored: all trials hit, none is drawn."""
+    if len(targets) == contained:
+        hits = config.trials
+    else:
+        randomness = random.Random(substream_seed(config.seed, 1, position))
+        hits = _count_sorted_hits(relation, targets, config.trials, randomness)
     return SweepPoint(
         stored_count=config.stored_counts[position],
         entropy=entropy(relation),
@@ -175,7 +183,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         for rows, column in zip(marked, zip(*master[done:size])):
             rows.update(column)
         done = size
-        relation = RelationTable(config.shape, map(sorted, marked))
+        relation = _sorted_relation(config.shape, map(sorted, marked))
         contained = count_contained(relation, "total-on-support")
         check_result_digits(contained, error=ConfigError)  # before any trial runs
         prefixes[size] = (relation, contained)

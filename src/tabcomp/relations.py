@@ -72,6 +72,16 @@ class RelationTable:
         return cls(shape, rows_per_column)
 
 
+def _sorted_relation(shape: TableShape, columns: Iterable[Iterable[int]]) -> RelationTable:
+    """The RelationTable of ``columns``, without the column rule's check.
+
+    The caller must pass ``shape.n`` columns, each of strictly ascending ints in
+    1..m, as the sweep's sorted sets of digits it drew itself are."""
+    relation = object.__new__(RelationTable)
+    relation.__dict__.update(shape=shape, columns=tuple(map(tuple, columns)))
+    return relation
+
+
 def _check_shapes(shape: TableShape, *others: TableShape) -> None:
     for other in others:
         if other != shape:

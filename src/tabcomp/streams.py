@@ -69,8 +69,11 @@ def uniform_index(seed: int, count: int) -> int:
             return product >> width
 
 
-def _lanes(values: Sequence[int]) -> int:
-    """The values, each below 2**64, in the low halves of consecutive 128-bit lanes."""
+def _lanes(values: Sequence[int], ones: int) -> int:
+    """The values, each below 2**64, in the low halves of consecutive 128-bit lanes, each
+    1 in ``ones``; a value in all is ``ones`` times it (ends compared first: no scan)."""
+    if values[0] == values[-1] and values.count(values[0]) == len(values):
+        return ones * values[0]
     words = array("Q", bytes(16 * len(values)))
     words[_LOW::2] = array("Q", values)
     return int.from_bytes(words, sys.byteorder)
@@ -87,7 +90,8 @@ def _finalize_lanes(z: int, lanes: int) -> int:
 def substream_indices(
     bases: Sequence[int], salts: Sequence[int], counts: Sequence[int]
 ) -> list[int]:
-    """``uniform_index(substream_seed(base, salt), count)`` lane by lane; bases, salts < 2**64."""
+    """``uniform_index(substream_seed(base, salt), count)`` lane by lane; bases, salts < 2**64.
+    A chunk's bases or salts of one value, as every trial-loop salt, enter by one multiply."""
     if len(counts) and min(counts) < 1:
         raise ValueError(f"count must be positive, got {min(counts)}")
     # one count of at most 2**64 in every lane, as in each trial-loop draw: one multiply per chunk
@@ -99,8 +103,8 @@ def substream_indices(
         chunk, size = slice(start, start + _CHUNK), min(_CHUNK, len(bases) - start)
         ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
         lanes = ones * _MASK64
-        offsets = (_lanes(salts[chunk]) + ones) * _GAMMA & lanes
-        seeds = _finalize_lanes(_lanes(bases[chunk]) + offsets, lanes)
+        offsets = (_lanes(salts[chunk], ones) + ones) * _GAMMA & lanes
+        seeds = _finalize_lanes(_lanes(bases[chunk], ones) + offsets, lanes)
         words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
         if same:
             halves = array("Q", (words * counts[0]).to_bytes(16 * size, sys.byteorder))

@@ -258,7 +258,7 @@ def test_parse_report_rejects_malformed_text():
 
 def test_golden_reports_round_trip():
     paths = sorted((Path(__file__).parent / "golden").glob("sweep_*"))
-    assert len(paths) == 8
+    assert len(paths) == 9
     for path in paths:
         data, format = path.read_bytes(), path.suffix[1:]
         assert emit_report(parse_report(data, format), format) == data
@@ -326,6 +326,16 @@ def sweep_configs(draw):
 @example(ExperimentConfig(TableShape(3, 5000), (7,), trials=1, seed=12, distinct=False))
 @example(ExperimentConfig(TableShape(2, 10**30), (7,), trials=1, seed=13))
 @example(ExperimentConfig(TableShape(2, 10**30), (7,), trials=1, seed=13, distinct=False))
+# m**n == 1024: a whole digit string is one entry of the decode table
+@example(ExperimentConfig(TableShape(10, 2), (40, 7), trials=1, seed=14))
+@example(ExperimentConfig(TableShape(10, 2), (40, 7), trials=1, seed=14, distinct=False))
+@example(ExperimentConfig(TableShape(5, 4), (40,), trials=1, seed=15))
+@example(ExperimentConfig(TableShape(5, 4), (40,), trials=1, seed=15, distinct=False))
+# m**n > 1024: each index halves once into table entries
+@example(ExperimentConfig(TableShape(11, 2), (40, 7), trials=1, seed=16))
+@example(ExperimentConfig(TableShape(11, 2), (40, 7), trials=1, seed=16, distinct=False))
+@example(ExperimentConfig(TableShape(6, 4), (40,), trials=1, seed=17))
+@example(ExperimentConfig(TableShape(6, 4), (40,), trials=1, seed=17, distinct=False))
 @settings(max_examples=150)
 def test_master_sequence_matches_scalar_shuffle(config):
     master = experiment._master_sequence(config)
@@ -407,3 +417,20 @@ def test_saturating_sweep_builds_no_function_table(monkeypatch):
     # the count sees a build
     FunctionTable(shape, (1,) * 8)
     assert built == [(1,) * 8]
+
+
+def test_saturated_point_runs_no_trial_loop():
+    # every function of 8x2 is stored at S=256, so each trial hits without a draw
+    calls = []
+    count_sorted_hits = experiment._count_sorted_hits
+
+    def counting(*args):
+        calls.append(len(args[1]))  # the sweep extends one targets list as S grows
+        return count_sorted_hits(*args)
+
+    config = ExperimentConfig(TableShape(8, 2), tuple(range(32, 257, 32)), trials=10, seed=1)
+    with mock.patch.object(experiment, "_count_sorted_hits", counting):
+        report = run_sweep(config)
+    assert calls == list(range(32, 225, 32))
+    assert report.points[-1].contained_total == 256
+    assert report.points[-1].precision_observed == 1.0

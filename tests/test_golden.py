@@ -51,6 +51,11 @@ CASES: dict[str, list[str | Path]] = {
     "sweep_16x16_seed1.csv": [
         "sweep", "--shape", "16x16", "--counts", "1,2,4,8,16,32", "--trials", "80", "--seed", "1",
     ],
+    # the sweep_store config: its last point saturates, every function of 8x2 stored
+    "sweep_8x2_seed1.csv": [
+        "sweep", "--shape", "8x2", "--counts", "32,64,96,128,160,192,224,256",
+        "--trials", "10", "--seed", "1",
+    ],
     "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
     "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
     "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],

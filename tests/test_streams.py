@@ -87,6 +87,26 @@ def test_batch_equals_scalar_lane_by_lane(lanes, count):
     assert substream_indices(bases, salts, [count] * lanes) == expected
 
 
+_VARYING = [3, 1 << 40, 5, 0]
+
+
+@pytest.mark.parametrize(
+    "bases, salts",
+    [
+        ([7] * 80, _VARYING * 20),  # constant bases
+        (_VARYING * 20, [2] * 80),  # constant salts
+        ([7] * 80, [2] * 80),  # both
+        ([9] * 10, [(1 << 64) - 1] * 10),  # the largest salt
+        ([5] * streams._CHUNK + [6], [0] * streams._CHUNK + [1]),  # constant in the first chunk only
+        ([5, 6, 5], [5, 6, 5]),  # equal ends, not constant
+    ],
+)
+@pytest.mark.parametrize("count", [1, 3, (1 << 63) + 1, 1 << 64, (1 << 64) + 1])
+def test_constant_lanes_equal_the_scalar_draw(bases, salts, count):
+    expected = [uniform_index(substream_seed(base, salt), count) for base, salt in zip(bases, salts)]
+    assert substream_indices(bases, salts, [count] * len(bases)) == expected
+
+
 def test_batch_lanes_keep_their_own_counts():
     # mixed counts in one chunk, salts as a range, as the master sequence draws
     fuzz = random.Random(3)
