@@ -14,7 +14,7 @@ import sys
 from functools import cache, reduce
 
 from . import __version__
-from .documents import TableDocument, decimal_value, parse_table_document, serialize_table_document
+from .documents import TableDocument, decimal_line, decimal_value, parse_table_document, serialize_table_document
 from .enumeration import (
     FunctionTable,
     TableShape,
@@ -100,7 +100,7 @@ def _reject_repeated_stdin(paths: list[str]) -> None:
 
 def _cmd_encode(args: argparse.Namespace) -> None:
     table = _load_table(args.file, "encode needs a function document")
-    print(" ".join(str(digit) for digit in table.digits))
+    print(decimal_line(table.digits, table.shape.m))
 
 
 def _cmd_decode(args: argparse.Namespace) -> None:
@@ -122,7 +122,7 @@ def _cmd_number(args: argparse.Namespace) -> None:
 def _cmd_unnumber(args: argparse.Namespace) -> None:
     index = function_from_number(args.number)
     print(f"shape {index.shape}")
-    print("k " + " ".join(str(digit) for digit in index.digits))
+    print("k " + decimal_line(index.digits, index.shape.m))
 
 
 def _cmd_shape(args: argparse.Namespace) -> None:
@@ -144,7 +144,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 def _cmd_inverse(args: argparse.Namespace) -> None:
     table = _load_table(args.file)
     columns = inverse_evaluate_relation(table, args.value)
-    print(" ".join(str(column) for column in columns))
+    print(decimal_line(columns, table.shape.n))
 
 
 def _cmd_entropy(args: argparse.Namespace) -> None:
@@ -186,7 +186,7 @@ def _cmd_antidiag(args: argparse.Namespace) -> None:
     shape = TableShape(*args.shape)
     functions = [FunctionTable(shape, digits) for digits in args.k]
     result = anti_diagonal(functions)
-    print(" ".join(str(digit) for digit in result.digits))
+    print(decimal_line(result.digits, shape.m))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:

@@ -8,6 +8,10 @@ rows ascending and possibly empty. ``#`` starts a comment, blank lines are
 skipped, and every parse error carries the line and column of the offending
 token. Serialization is the exact inverse of parsing. A relation column is
 held as the rows its line lists, so memory is linear in the document's size.
+
+A table with m up to 1024 reads and writes its numbers through one table of
+the decimal texts of 0..1024; a token it lacks (``007``, a Unicode digit) takes
+``decimal_value``, the rule it caches. Past 1024 int and str do all the work.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ _DECIMAL = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"\S+")
 _Token = tuple[str, int]
 _Line = tuple[int, str]
+# the canonical text of each value 0.._LARGEST, and the value of each such text
+_LARGEST = 1024
+_TEXTS = {value: str(value) for value in range(_LARGEST + 1)}
+_VALUES = {text: value for value, text in _TEXTS.items()}
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,11 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
             f"expected a line of {shape.n} digits", line=header_line + 1, column=1
         )
     line_number, body = lines[1]
+    # a lone line of n decimal digits up to m needs no token path, which positions errors
+    if len(lines) == 2:
+        marks = _decimal_values(body.split(), shape.m)
+        if marks is not None and len(marks) == shape.n and max(marks) <= shape.m:
+            return FunctionTable(shape, tuple(marks))
     tokens = _tokens(body)
     if len(tokens) != shape.n:
         column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
@@ -176,22 +189,36 @@ def _checked_rows(line_number: int, body: str, index: int, m: int) -> list[int]:
     return rows
 
 
-def _decimal_rows(body: str, index: int) -> list[int] | None:
-    """The rows of a ``col <index>:`` line by C-level checks alone; None if they fail."""
-    words = body.split()
-    digits = "".join(words[2:])
-    if words[:2] != ["col", f"{index}:"] or digits and not (digits.isascii() and digits.isdigit()):
+def _decimal_values(words: list[str], m: int) -> list[int] | None:
+    """Each word's ``decimal_value`` by C-level steps; None if one fails.
+
+    The decimal table comes first where it holds every value 0..m."""
+    if m <= _LARGEST:
+        try:
+            return list(map(_VALUES.__getitem__, words))
+        except KeyError:  # a word the table lacks: the rule it caches
+            pass
+    digits = "".join(words)
+    if digits and not (digits.isascii() and digits.isdigit()):
         return None
     try:
-        return list(map(int, words[2:]))
+        return list(map(int, words))
     except ValueError:  # more digits than int() converts
         return None
+
+
+def _decimal_rows(body: str, index: int, m: int) -> list[int] | None:
+    """The rows of a ``col <index>:`` line by C-level checks alone; None if they fail."""
+    words = body.split()
+    return _decimal_values(words[2:], m) if words[:2] == ["col", f"{index}:"] else None
 
 
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
     # a well-formed body passes C-level checks and then the column rule, once; any
     # other takes the token path, which raises at its first bad token in document order
-    columns = [_decimal_rows(body, index) for index, (_, body) in enumerate(lines[1:], start=1)]
+    columns = [
+        _decimal_rows(body, index, shape.m) for index, (_, body) in enumerate(lines[1:], start=1)
+    ]
     if None not in columns:
         try:
             return RelationTable(shape, columns)
@@ -220,15 +247,26 @@ def parse_table_document(text: str | bytes) -> TableDocument:
     return TableDocument(_parse_relation_body(lines, shape))
 
 
+def decimal_line(values: tuple[int, ...], top: int) -> str:
+    """The values' texts as str writes them, space-separated: the writer of every number.
+
+    The decimal table comes first where it holds every value 0..top, their expected range."""
+    if top <= _LARGEST:
+        try:
+            return " ".join(map(_TEXTS.__getitem__, values))
+        except KeyError:  # a value outside 0..top after all
+            pass
+    return " ".join(str(value) for value in values)
+
+
 def serialize_table_document(document: TableDocument) -> str:
     """Canonical text for a document; parsing it back yields an equal document."""
     table = document.table
     shape = table.shape
     lines = [f"table {shape.n} {shape.m} {document.kind}"]
     if isinstance(table, FunctionTable):
-        lines.append(" ".join(str(mark) for mark in table.marks))
+        lines.append(decimal_line(table.marks, shape.m))
     else:
         for index, rows in enumerate(table.columns, start=1):
-            suffix = " " + " ".join(str(row) for row in rows) if rows else ""
-            lines.append(f"col {index}:{suffix}")
+            lines.append(f"col {index}: {decimal_line(rows, shape.m)}" if rows else f"col {index}:")
     return "\n".join(lines) + "\n"

@@ -76,7 +76,8 @@ def _sorted_relation(shape: TableShape, columns: Iterable[Iterable[int]]) -> Rel
     """The RelationTable of ``columns``, without the column rule's check.
 
     The caller must pass ``shape.n`` columns, each of strictly ascending ints in
-    1..m, as the sweep's sorted sets of digits it drew itself are."""
+    1..m, as the sweep's sorted sets of digits it drew itself are, and as the
+    sorted union of two validated tables' columns is."""
     relation = object.__new__(RelationTable)
     relation.__dict__.update(shape=shape, columns=tuple(map(tuple, columns)))
     return relation
@@ -203,8 +204,8 @@ def superpose(
 ) -> RelationTable:
     """Cell-wise union of two tables of one shape; commutative, associative, idempotent."""
     _check_shapes(base.shape, addition.shape)
-    return RelationTable(
-        base.shape, tuple(sorted({*a, *b}) for a, b in zip(base.columns, addition.columns))
+    return _sorted_relation(
+        base.shape, (sorted({*a, *b}) for a, b in zip(base.columns, addition.columns))
     )
 
 

@@ -200,6 +200,31 @@ def _token_by_token_relation_body(lines, shape):
     return RelationTable.from_rows(shape, columns)
 
 
+def _token_by_token_function_body(lines, shape):
+    """The function grammar checked one token at a time: the oracle for the
+    fast path of ``documents._parse_function_body``; ``lines`` as above."""
+    if len(lines) < 2:
+        raise ParseError(f"expected a line of {shape.n} digits", line=lines[0][0] + 1, column=1)
+    line_number, tokens = lines[1]
+    if len(tokens) != shape.n:
+        column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
+        raise ParseError(
+            f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
+        )
+    marks = []
+    for token, column in tokens:
+        digit = documents._parse_int(token, line_number, column, "digit")
+        if digit > shape.m:
+            raise ParseError(
+                f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
+            )
+        marks.append(digit)
+    if len(lines) > 2:
+        line_number, tokens = lines[2]
+        raise ParseError("unexpected content after table", line=line_number, column=tokens[0][1])
+    return FunctionTable(shape, tuple(marks))
+
+
 def _token_by_token_parse(text):
     token_lines = []
     for number, raw in enumerate(text.split("\n"), start=1):
@@ -207,7 +232,9 @@ def _token_by_token_parse(text):
         tokens = [(match.group(), match.start() + 1) for match in re.finditer(r"\S+", body)]
         if tokens:
             token_lines.append((number, tokens))
-    shape, _ = documents._parse_header(documents._significant_lines(text))
+    shape, kind = documents._parse_header(documents._significant_lines(text))
+    if kind == "function":
+        return TableDocument(_token_by_token_function_body(token_lines, shape))
     return TableDocument(_token_by_token_relation_body(token_lines, shape))
 
 
@@ -223,17 +250,34 @@ _SEPARATORS = st.lists(
 ).map("".join)
 # past sys.get_int_max_str_digits(), int() refuses the token
 _ODD_ROWS = ["007", "\u0661", "\u00b2", "x", "1" * (sys.get_int_max_str_digits() + 1)]
+_SMALL_COUNTS = st.integers(1, 12)
+# value counts about 1024, the last value in the documents' decimal table: the
+# table serves m up to 1024, and rows and digits fall on both sides of it
+_COUNTS_ABOUT_1024 = st.integers(1023, 1026)
+
+
+def _values(m):
+    """Rows 1..m; past 12, the low ones and the top few, which for m near 1024 straddle it."""
+    return st.integers(1, m) if m <= 12 else st.integers(1, 12) | st.integers(m - 5, m)
+
+
+def _line(draw, tokens):
+    """A line of tokens with odd separators, leading blanks and a trailing comment."""
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for token in tokens:
+        line += token + draw(_SEPARATORS)
+    return line + draw(st.sampled_from(["", "# note", "#1 2"]))
 
 
 @st.composite
-def relation_texts(draw):
+def relation_texts(draw, value_counts=_SMALL_COUNTS):
     """Relation documents, mostly well formed, with the ways a line can go wrong:
     odd separators, comments, blank lines, bad labels, rows 0 and m + 1, Unicode
     digits, descending and repeated rows, huge tokens, missing and extra lines."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    n, m = draw(st.integers(1, 4)), draw(value_counts)
     lines = [f"table {n} {m} relation"]
     for index in range(1, n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))):
-        rows = [str(row) for row in sorted(draw(st.sets(st.integers(1, m), max_size=6)))]
+        rows = [str(row) for row in sorted(draw(st.sets(_values(m), max_size=6)))]
         fault = draw(st.integers(0, 9))
         if fault == 1:
             rows.insert(0, "0")
@@ -248,12 +292,31 @@ def relation_texts(draw):
         head = ["col", f"{index}:"]
         if fault == 6:
             head = draw(st.sampled_from([[], ["col"], ["row", f"{index}:"], ["col", f"{index + 1}:"]]))
-        tokens = head + rows
-        line = draw(st.sampled_from(["", " ", "\t"]))
-        for token in tokens:
-            line += token + draw(_SEPARATORS)
-        lines.append(line + draw(st.sampled_from(["", "# note", "#1 2"])))
+        lines.append(_line(draw, head + rows))
         lines += draw(st.lists(st.sampled_from(["", "\u3000", "# comment"]), max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def function_texts(draw):
+    """Function documents, mostly well formed, with the ways the digit line can
+    go wrong: digit m + 1, ``007``, Unicode digits, huge tokens, a digit too few
+    or too many, and a line after it. Some value counts lie about 1024."""
+    n, m = draw(st.integers(1, 4)), draw(_SMALL_COUNTS | _COUNTS_ABOUT_1024)
+    digits = [str(digit) for digit in draw(st.lists(st.just(0) | _values(m), min_size=n, max_size=n))]
+    fault = draw(st.integers(0, 7))
+    if fault == 1:
+        digits[draw(st.integers(0, n - 1))] = str(m + 1)
+    elif fault == 2:
+        digits[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_ROWS))
+    elif fault == 3:
+        digits.pop(draw(st.integers(0, n - 1)))
+    elif fault == 4:
+        digits.insert(draw(st.integers(0, n)), str(draw(_values(m))))
+    lines = [f"table {n} {m} function", _line(draw, digits)]
+    lines += draw(st.lists(st.sampled_from(["", "\u3000", "# comment"]), max_size=1))
+    if fault == 5:
+        lines.append(draw(st.sampled_from(["0", "1 2", "col 1:", "1025"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
@@ -266,6 +329,35 @@ def relation_texts(draw):
 @settings(max_examples=400)
 def test_relation_parser_matches_token_by_token_parse(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
+
+
+@given(relation_texts(_COUNTS_ABOUT_1024))
+# rows on both sides of the decimal table's last value, and one past m
+@example("table 2 1026 relation\ncol 1: 1023 1024 1025 1026\ncol 2: 007 1024\n")
+@example("table 1 1024 relation\ncol 1: 1023 1025\n")
+@settings(max_examples=200)
+def test_relation_parser_matches_token_by_token_parse_about_1024(text):
+    assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
+
+
+@given(function_texts())
+@example("table 3 1100 function\n1025 0 1024\n")
+@example("table 2 1024 function\n1024 1025\n")
+@example("table 1 9 function\n007\n")
+@example("table 1 9 function\n\u0661\n")
+@example("table 2 9 function\n1 2\n0\n")
+@settings(max_examples=400)
+def test_function_parser_matches_token_by_token_parse(text):
+    assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
+
+
+@given(st.lists(st.integers(-2000, 2000) | st.integers(), max_size=6).map(tuple), st.integers(0, 2000))
+@example((-1,), 5)
+@example((-1025, 3), 1024)
+@example((1025, 0), 1024)
+def test_decimal_line_writes_what_str_writes(values, top):
+    # values outside 0..top included: the decimal table never picks wrong text
+    assert documents.decimal_line(values, top) == " ".join(map(str, values))
 
 
 def test_error_position_is_in_the_message():

@@ -3,10 +3,13 @@
 The files under ``tests/golden/`` pin the random streams, the global
 numbering and what the relation commands print. A change that alters any of
 them is a change to a random stream, to the numbering or to a relation
-operation's answer, and must be declared as such. ``relation_6x5.doc`` and
-``function_6x5.doc`` are inputs only. ``help.txt`` pins ``tabcomp --help`` and
-each ``tabcomp <command> --help`` word for word, at 80 columns: argparse wraps
-and aligns help differently across Python versions, so only the words count.
+operation's answer, and must be declared as such. ``relation_6x5.doc``,
+``function_6x5.doc``, ``relation_3x1100.doc`` and ``function_3x1100.doc`` are
+inputs only; the 3x1100 pair holds numbers on both sides of 1024, the last
+value of the decimal table through which documents up to m = 1024 are read
+and written. ``help.txt`` pins ``tabcomp --help`` and each
+``tabcomp <command> --help`` word for word, at 80 columns: argparse wraps and
+aligns help differently across Python versions, so only the words count.
 
 Runs under pytest, or without it as a script from the repository root:
 
@@ -32,6 +35,9 @@ _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "200
 # the relation commands read one relation document and one function document
 _RELATION = str(GOLDEN / "relation_6x5.doc")
 _FUNCTION = str(GOLDEN / "function_6x5.doc")
+# rows and digits 1023..1100 and a row written 007, across the decimal table's bound
+_RELATION_1100 = str(GOLDEN / "relation_3x1100.doc")
+_FUNCTION_1100 = str(GOLDEN / "function_3x1100.doc")
 
 _NUMBERED = {
     "4x7": "1 2 4 7",
@@ -73,6 +79,9 @@ CASES: dict[str, list[str | Path]] = {
     ],
     "sample_function_6x5_seed7.doc": ["sample", _FUNCTION, "--seed", "7"],
     "superpose_function_6x5.doc": ["superpose", _FUNCTION, _FUNCTION],
+    "superpose_3x1100.doc": ["superpose", _RELATION_1100, _FUNCTION_1100],
+    "encode_function_3x1100.txt": ["encode", _FUNCTION_1100],
+    "inverse_3x1100_value1024.txt": ["inverse", _RELATION_1100, "--value", "1024"],
     **{f"number_{shape}.txt": ["number", "--shape", shape, "--k", k] for shape, k in _NUMBERED.items()},
     **{f"unnumber_{shape}.txt": ["unnumber", GOLDEN / f"number_{shape}.txt"] for shape in _NUMBERED},
 }
