@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .enumeration import FunctionTable, TableShape
-from .errors import ParseError, ShapeError
-from .relations import RelationTable
+from .errors import ParseError
+from .relations import RelationTable, _ascending_within, _sorted_relation
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
 
@@ -54,8 +54,8 @@ class TableDocument:
 def _significant_lines(text: str) -> list[_Line]:
     """(line number, body) of each line with a token, comments stripped."""
     lines: list[_Line] = []
-    for number, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
+    for number, body in enumerate(text.split("\n"), start=1):
+        body = body.split("#", 1)[0] if "#" in body else body
         if body and not body.isspace():
             lines.append((number, body))
     return lines
@@ -214,23 +214,24 @@ def _decimal_rows(body: str, index: int, m: int) -> list[int] | None:
 
 
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
-    # a well-formed body passes C-level checks and then the column rule, once; any
-    # other takes the token path, which raises at its first bad token in document order
-    columns = [
-        _decimal_rows(body, index, shape.m) for index, (_, body) in enumerate(lines[1:], start=1)
-    ]
-    if None not in columns:
-        try:
-            return RelationTable(shape, columns)
-        except ShapeError:  # a line too many or too few, or a row outside the column rule
-            pass
+    # each line is checked once, as it is read, by C-level steps; a failing line, or a line too
+    # many or too few, sends the body to the token path, which raises at its first bad token
+    if len(lines) == shape.n + 1:
+        columns = []
+        for index, (_, body) in enumerate(lines[1:], start=1):
+            rows = _decimal_rows(body, index, shape.m)
+            if rows is None or not _ascending_within(rows, shape.m):
+                break
+            columns.append(rows)
+        else:
+            return _sorted_relation(shape, columns)
     columns = []
     for index in range(1, shape.n + 1):
         if len(lines) < index + 1:
             raise ParseError(f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1)
         columns.append(_checked_rows(*lines[index], index, shape.m))
     _reject_extra_lines(lines, shape.n + 1)
-    return RelationTable(shape, columns)
+    return _sorted_relation(shape, columns)
 
 
 def parse_table_document(text: str | bytes) -> TableDocument:

@@ -55,13 +55,7 @@ class RelationTable:
                 f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.columns)}"
             )
         for column, rows in enumerate(self.columns, start=1):
-            # the column rule, in C-level passes: ints, strictly ascending, within 1..m
-            if rows and not (
-                set(map(type, rows)) == {int}
-                and 1 <= rows[0]
-                and rows[-1] <= self.shape.m
-                and all(map(operator.lt, rows, rows[1:]))
-            ):
+            if not (set(map(type, rows)) <= {int} and _ascending_within(rows, self.shape.m)):
                 raise ShapeError(
                     f"column {column} rows are not strictly ascending ints in 1..{self.shape.m}"
                 )
@@ -72,12 +66,17 @@ class RelationTable:
         return cls(shape, rows_per_column)
 
 
+def _ascending_within(rows: tuple[int, ...] | list[int], m: int) -> bool:
+    """Whether ints ``rows`` are strictly ascending within 1..m, by C-level passes."""
+    return not rows or (1 <= rows[0] and rows[-1] <= m and all(map(operator.lt, rows, rows[1:])))
+
+
 def _sorted_relation(shape: TableShape, columns: Iterable[Iterable[int]]) -> RelationTable:
     """The RelationTable of ``columns``, without the column rule's check.
 
-    The caller must pass ``shape.n`` columns, each of strictly ascending ints in
-    1..m, as the sweep's sorted sets of digits it drew itself are, and as the
-    sorted union of two validated tables' columns is."""
+    The caller must pass ``shape.n`` columns of strictly ascending ints in 1..m:
+    the sweep's sorted sets of digits it drew, the sorted union of two validated
+    tables' columns, or a document's rows, each line checked once as it is read."""
     relation = object.__new__(RelationTable)
     relation.__dict__.update(shape=shape, columns=tuple(map(tuple, columns)))
     return relation

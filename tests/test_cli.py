@@ -341,6 +341,18 @@ EXIT_CORPUS += [(argv, None, 1, TOO_LARGE) for argv in OVERSIZED]
 EXIT_CORPUS += [
     (["encode", "-"], "table 0 3 function\n", 2,
      "error: line 1, column 7: argument count must be at least 1"),
+    # malformed relation documents: a row line that fails its one check is positioned token by token
+    (["entropy", "-"], "table 1 3 relation\ncol 1: 2 1\n", 2,
+     "error: line 2, column 10: rows must be strictly ascending, got 1 after 2"),
+    (["entropy", "-"], "table 1 3 relation\ncol 1: 2 2\n", 2,
+     "error: line 2, column 10: rows must be strictly ascending, got 2 after 2"),
+    (["entropy", "-"], "table 2 3 relation\ncol 1: 1\ncol 2: 0 2\n", 2,
+     "error: line 3, column 8: row 0 outside 1..3"),
+    (["entropy", "-"], "table 2 3 relation\ncol 1: 1 2 3\ncol 2: 4\n", 2,
+     "error: line 3, column 8: row 4 outside 1..3"),
+    (["entropy", "-"], "table 2 3 relation\ncol 1: 1\n", 2, "error: line 3, column 1: expected 'col 2:' line"),
+    (["entropy", "-"], "table 2 3 relation\ncol 1: 1\ncol 2: 3\ncol 3: 2\n", 2,
+     "error: line 4, column 1: unexpected content after table"),
 ]
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]

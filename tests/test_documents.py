@@ -326,6 +326,11 @@ def function_texts(draw):
 @example("table 2 9 relation\ncol 1: 1 5\ncol 2: 6\n")
 # a row out of order on line 2 is reported before the bad label on line 3
 @example("table 2 9 relation\ncol 1: 5 1\nrow 2: 6\n")
+# one-line bodies, so the fast path's own check is what refuses the row or passes the column
+@example("table 1 9 relation\ncol 1: 0 5\n")
+@example("table 1 9 relation\ncol 1: 5 10\n")
+@example("table 1 9 relation\ncol 1: 5 1\n")
+@example("table 1 9 relation\ncol 1:\n")
 @settings(max_examples=400)
 def test_relation_parser_matches_token_by_token_parse(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,9 @@ def test_star_import_binds_exactly_the_public_names():
         [sys.executable, "-W", "error", "-c", code],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": source},
+        # PYTHONDONTWRITEBYTECODE passes through (empty when unset, which Python reads as unset),
+        # so a run that asks for no .pyc files leaves none in the checkout
+        env={"PYTHONPATH": source, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "")},
         timeout=60,
         check=True,
     )
