@@ -5,9 +5,11 @@ One document holds one table. The first line names shape and kind,
 line of n space-separated digits, 0 for an unmarked column. A relation
 document continues with one ``col <i>: <rows>`` line per column in order,
 rows ascending and possibly empty. ``#`` starts a comment, blank lines are
-skipped, and every parse error carries the line and column of the offending
-token. Serialization is the exact inverse of parsing. A relation column is
-held as the rows its line lists, so memory is linear in the document's size.
+skipped. A body is read in one pass: each line is checked once, and only a
+line that fails is re-read token by token, so every parse error carries the
+line and column of the offending token. Serialization is the exact inverse of
+parsing. A relation column is held as the rows its line lists, so memory is
+linear in the document's size.
 
 A table with m up to 1024 reads and writes its numbers through one table of
 the decimal texts of 0..1024; a token it lacks (``007``, a Unicode digit) takes
@@ -26,7 +28,6 @@ from .relations import RelationTable, _ascending_within, _sorted_relation
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
 
-_DECIMAL = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"\S+")
 _Token = tuple[str, int]
 _Line = tuple[int, str]
@@ -72,7 +73,7 @@ def decimal_value(token: str) -> int:
     Any other token raises ValueError, as does one with more digits than
     ``sys.get_int_max_str_digits()`` lets int() convert.
     """
-    if not _DECIMAL.fullmatch(token):
+    if not (token.isascii() and token.isdigit()):
         raise ValueError(f"{token!r} is not a decimal integer")
     return int(token)
 
@@ -136,25 +137,23 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
             f"expected a line of {shape.n} digits", line=header_line + 1, column=1
         )
     line_number, body = lines[1]
-    # a lone line of n decimal digits up to m needs no token path, which positions errors
-    if len(lines) == 2:
-        marks = _decimal_values(body.split(), shape.m)
-        if marks is not None and len(marks) == shape.n and max(marks) <= shape.m:
-            return FunctionTable(shape, tuple(marks))
-    tokens = _tokens(body)
-    if len(tokens) != shape.n:
-        column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
-        raise ParseError(
-            f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
-        )
-    marks = []
-    for token, column in tokens:
-        digit = _parse_int(token, line_number, column, "digit")
-        if digit > shape.m:
+    # n decimal digits up to m pass by C-level steps; a line that fails is re-read token by token
+    marks = _decimal_values(body.split(), shape.m)
+    if marks is None or len(marks) != shape.n or max(marks) > shape.m:
+        tokens = _tokens(body)
+        if len(tokens) != shape.n:
+            column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
             raise ParseError(
-                f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
+                f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
             )
-        marks.append(digit)
+        marks = []
+        for token, column in tokens:
+            digit = _parse_int(token, line_number, column, "digit")
+            if digit > shape.m:
+                raise ParseError(
+                    f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
+                )
+            marks.append(digit)
     _reject_extra_lines(lines, 2)
     return FunctionTable(shape, tuple(marks))
 
@@ -207,29 +206,18 @@ def _decimal_values(words: list[str], m: int) -> list[int] | None:
         return None
 
 
-def _decimal_rows(body: str, index: int, m: int) -> list[int] | None:
-    """The rows of a ``col <index>:`` line by C-level checks alone; None if they fail."""
-    words = body.split()
-    return _decimal_values(words[2:], m) if words[:2] == ["col", f"{index}:"] else None
-
-
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
-    # each line is checked once, as it is read, by C-level steps; a failing line, or a line too
-    # many or too few, sends the body to the token path, which raises at its first bad token
-    if len(lines) == shape.n + 1:
-        columns = []
-        for index, (_, body) in enumerate(lines[1:], start=1):
-            rows = _decimal_rows(body, index, shape.m)
-            if rows is None or not _ascending_within(rows, shape.m):
-                break
-            columns.append(rows)
-        else:
-            return _sorted_relation(shape, columns)
+    # one pass: each line is checked once by C-level steps, and only a line that fails them is
+    # re-read token by token, which raises at its first bad token; extra lines are checked last
     columns = []
     for index in range(1, shape.n + 1):
         if len(lines) < index + 1:
             raise ParseError(f"expected 'col {index}:' line", line=lines[-1][0] + 1, column=1)
-        columns.append(_checked_rows(*lines[index], index, shape.m))
+        words = lines[index][1].split()
+        rows = _decimal_values(words[2:], shape.m) if words[:2] == ["col", f"{index}:"] else None
+        if rows is None or not _ascending_within(rows, shape.m):
+            rows = _checked_rows(*lines[index], index, shape.m)
+        columns.append(rows)
     _reject_extra_lines(lines, shape.n + 1)
     return _sorted_relation(shape, columns)
 

@@ -253,8 +253,11 @@ def parse_report(data: bytes, format: ReportFormat = "csv") -> ExperimentReport:
     if type(payload) is not list or not all(
         type(entry) is dict and entry.keys() == set(_FIELDS)
         and type(entry["stored_count"]) is type(entry["contained_total"]) is int
+        and all(type(entry[name]) in (int, float) for name in _FIELDS)
         for entry in payload
     ):
-        raise ParseError(f"JSON report must list objects keyed {', '.join(_FIELDS)}, counts as integers")
+        raise ParseError(
+            f"JSON report must list objects keyed {', '.join(_FIELDS)} to numbers, counts as integers"
+        )
     rows = [[entry[name] for name in _FIELDS] for entry in payload]
     return ExperimentReport(tuple(_parse_point(row, int) for row in rows))

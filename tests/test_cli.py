@@ -353,6 +353,13 @@ EXIT_CORPUS += [
     (["entropy", "-"], "table 2 3 relation\ncol 1: 1\n", 2, "error: line 3, column 1: expected 'col 2:' line"),
     (["entropy", "-"], "table 2 3 relation\ncol 1: 1\ncol 2: 3\ncol 3: 2\n", 2,
      "error: line 4, column 1: unexpected content after table"),
+    # the body's lines are read in one pass, each before any line after it
+    (["encode", "-"], "table 2 2 function\n1 2\n1 2\n", 2,
+     "error: line 3, column 1: unexpected content after table"),
+    (["encode", "-"], "table 2 2 function\n3 0\n1 2\n", 2,
+     "error: line 2, column 1: digit 3 exceeds value count 2"),
+    (["entropy", "-"], "table 2 3 relation\ncol 1: 1\ncol 2: x\ncol 3: 1\n", 2,
+     "error: line 3, column 8: row 'x' is not a decimal integer"),
 ]
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]

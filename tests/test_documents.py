@@ -160,7 +160,7 @@ def test_document_shaped_input_raises_only_parse_error(tokens):
 
 def _token_by_token_relation_body(lines, shape):
     """The relation grammar checked one token at a time: the oracle for the
-    fast path of ``documents._parse_relation_body``. ``lines`` hold
+    per-line checks of ``documents._parse_relation_body``. ``lines`` hold
     (line number, [(token, 1-based column), ...]) pairs."""
     columns = []
     for index in range(1, shape.n + 1):
@@ -202,7 +202,7 @@ def _token_by_token_relation_body(lines, shape):
 
 def _token_by_token_function_body(lines, shape):
     """The function grammar checked one token at a time: the oracle for the
-    fast path of ``documents._parse_function_body``; ``lines`` as above."""
+    digit line's check in ``documents._parse_function_body``; ``lines`` as above."""
     if len(lines) < 2:
         raise ParseError(f"expected a line of {shape.n} digits", line=lines[0][0] + 1, column=1)
     line_number, tokens = lines[1]
@@ -326,7 +326,7 @@ def function_texts(draw):
 @example("table 2 9 relation\ncol 1: 1 5\ncol 2: 6\n")
 # a row out of order on line 2 is reported before the bad label on line 3
 @example("table 2 9 relation\ncol 1: 5 1\nrow 2: 6\n")
-# one-line bodies, so the fast path's own check is what refuses the row or passes the column
+# one-line bodies, so the line's C-level check is what refuses the row or passes the column
 @example("table 1 9 relation\ncol 1: 0 5\n")
 @example("table 1 9 relation\ncol 1: 5 10\n")
 @example("table 1 9 relation\ncol 1: 5 1\n")
@@ -351,6 +351,9 @@ def test_relation_parser_matches_token_by_token_parse_about_1024(text):
 @example("table 1 9 function\n007\n")
 @example("table 1 9 function\n\u0661\n")
 @example("table 2 9 function\n1 2\n0\n")
+# a faulty digit line is reported before the extra line after it
+@example("table 2 9 function\n1 10\n0\n")
+@example("table 2 9 function\n1\n0\n")
 @settings(max_examples=400)
 def test_function_parser_matches_token_by_token_parse(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)

@@ -240,6 +240,13 @@ MALFORMED_REPORTS = [
             dict(extra=b"9"), dict(S=b"1"),
         )
     ),
+    # a float field is a JSON number, not a string or a boolean that float() converts
+    *(
+        (_json_point(**change), "json")
+        for change in (
+            dict(entropy=b'"0.5"'), dict(precision_expected=b"true"), dict(precision_observed=b'"1"'),
+        )
+    ),
 ]
 
 
