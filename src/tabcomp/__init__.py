@@ -8,20 +8,36 @@ capacity, and answer stochastically; the experiment module measures that
 trade as a sweep over stored-set sizes.
 """
 
+import importlib
+
 from .documents import *
 from .enumeration import *
 from .errors import *
-from .experiment import *
 from .relations import *
 from .tables import *
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
+# experiment.__all__, loaded on first use (PEP 562): only the sweep needs csv and json
+_EXPERIMENT = ["ExperimentConfig", "SweepPoint", "ExperimentReport", "run_sweep", "emit_report", "parse_report"]
+
+# each module's __all__ is the one list of its public names; _EXPERIMENT stands in for experiment's
 __all__ = ["__version__"]
 __all__ += documents.__all__
 __all__ += enumeration.__all__
 __all__ += errors.__all__
-__all__ += experiment.__all__
+__all__ += _EXPERIMENT
 __all__ += relations.__all__
 __all__ += tables.__all__
+
+
+def __getattr__(name: str) -> object:
+    if name == "experiment" or name in _EXPERIMENT:
+        # not `from . import experiment`: its fromlist lookup would call this function again
+        module = importlib.import_module(f"{__name__}.experiment")
+        return module if name == "experiment" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,7 +25,6 @@ from .enumeration import (
     table_shape,
 )
 from .errors import DomainError, ParseError, check_result_digits
-from .experiment import ExperimentConfig, emit_report, run_sweep
 from .relations import (
     RelationTable,
     contains,
@@ -190,6 +189,7 @@ def _cmd_antidiag(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    from .experiment import ExperimentConfig, emit_report, run_sweep  # only the sweep loads csv and json
     config = ExperimentConfig(
         shape=TableShape(*args.shape),
         stored_counts=args.counts,
@@ -299,3 +299,7 @@ def main(argv: list[str] | None = None) -> int:
 def cli() -> None:  # pragma: no cover
     """Console-script wrapper that calls ``sys.exit``."""
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m tabcomp.cli
+    cli()

@@ -19,6 +19,7 @@ the decimal texts of 0..1024; a token it lacks (``007``, a Unicode digit) takes
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -75,7 +76,10 @@ def decimal_value(token: str) -> int:
     """
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"{token!r} is not a decimal integer")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # worded as check_result_digits words the same limit
+        raise ValueError(f"has more than {sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def _parse_int(token: str, line: int, column: int, what: str) -> int:

@@ -126,12 +126,15 @@ def test_entropy_of_a_relation_with_huge_m(capsys, tmp_path):
 
 def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
     # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
+    limit, long = sys.get_int_max_str_digits(), "1" * 5000
     path = tmp_path / "long_n.doc"
-    path.write_text("table " + "1" * 5000 + " 2 relation\ncol 1:\n")
-    code, out, err = run_cli(capsys, ["entropy", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: line 1, column 7: ")
-    assert run_cli(capsys, ["unnumber", "1" * 5000])[0] == 2
+    path.write_text(f"table {long} 2 relation\ncol 1:\n")
+    message = f"error: line 1, column 7: argument count has more than {limit} decimal digits\n"
+    assert run_cli(capsys, ["entropy", str(path)]) == (2, "", message)
+    path.write_text(f"table 2 3 relation\ncol 1: {long}\ncol 2:\n")
+    message = f"error: line 2, column 8: row has more than {limit} decimal digits\n"
+    assert run_cli(capsys, ["entropy", str(path)]) == (2, "", message)
+    assert run_cli(capsys, ["unnumber", long])[0] == 2
 
 
 def _run_with_peak(capsys, argv):
