@@ -43,6 +43,8 @@ def _decimals(tokens: list[str], message: str) -> tuple[int, ...]:
     """Each token's ``decimal_value``; a usage error when there is none or one is malformed."""
     try:
         values = tuple(decimal_value(token) for token in tokens)
+    except ParseError as error:  # a token past the digit limit: name the limit, not the token
+        raise argparse.ArgumentTypeError(f"value {error}") from None
     except ValueError:
         values = ()
     if not values:

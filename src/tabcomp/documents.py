@@ -71,15 +71,15 @@ def _tokens(body: str) -> list[_Token]:
 def decimal_value(token: str) -> int:
     """The value of an ASCII decimal token: the one rule for numbers in documents and flags.
 
-    Any other token raises ValueError, as does one with more digits than
-    ``sys.get_int_max_str_digits()`` lets int() convert.
+    Any other token raises ValueError; a token with more digits than int() converts
+    (``sys.get_int_max_str_digits()``) raises its subclass ParseError.
     """
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"{token!r} is not a decimal integer")
     try:
         return int(token)
     except ValueError:  # worded as check_result_digits words the same limit
-        raise ValueError(f"has more than {sys.get_int_max_str_digits()} decimal digits") from None
+        raise ParseError(f"has more than {sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def _parse_int(token: str, line: int, column: int, what: str) -> int:

@@ -124,9 +124,11 @@ def test_entropy_of_a_relation_with_huge_m(capsys, tmp_path):
     assert run_cli(capsys, ["entropy", str(path)]) == (0, "0.0\n", "")
 
 
-def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
+def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path, monkeypatch):
     # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
     limit, long = sys.get_int_max_str_digits(), "1" * 5000
+    monkeypatch.setenv("NO_COLOR", "1")
+    monkeypatch.delenv("FORCE_COLOR", raising=False)  # argparse colours errors from Python 3.14 on
     path = tmp_path / "long_n.doc"
     path.write_text(f"table {long} 2 relation\ncol 1:\n")
     message = f"error: line 1, column 7: argument count has more than {limit} decimal digits\n"
@@ -134,7 +136,14 @@ def test_number_past_the_int_digit_limit_is_malformed(capsys, tmp_path):
     path.write_text(f"table 2 3 relation\ncol 1: {long}\ncol 2:\n")
     message = f"error: line 2, column 8: row has more than {limit} decimal digits\n"
     assert run_cli(capsys, ["entropy", str(path)]) == (2, "", message)
-    assert run_cli(capsys, ["unnumber", long])[0] == 2
+    # a flag value names the limit, not the value, as a document token does
+    past = f"value has more than {limit} decimal digits\n"
+    assert run_cli(capsys, ["unnumber", long]) == (
+        2, "", f"usage: tabcomp unnumber [-h] number\ntabcomp unnumber: error: argument number: {past}"
+    )
+    assert run_cli(capsys, ["decode", "--shape", "2x3", "--k", f"1 {long}"]) == (
+        2, "", f"usage: tabcomp decode [-h] --shape SHAPE --k K\ntabcomp decode: error: argument --k: {past}"
+    )
 
 
 def _run_with_peak(capsys, argv):

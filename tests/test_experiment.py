@@ -212,17 +212,20 @@ MALFORMED_REPORTS = [
     # integer fields: a CSV decimal token or a JSON integer, nothing that converts to one
     *((HEADER + row + b",0.0,1,1.0,1.0\n", "csv") for row in (b"1_0", b" 7", b"+7")),
     (HEADER + b"1,0.0,1_0,1.0,1.0\n", "csv"),
+    # a CSV field is never quoted, and "\r" only ends a line
+    *((_csv_point(index, value), "csv") for index, value in ((0, b'"1"'), (1, b'"0.0"'))),
+    (HEADER + b"1,0.0\r,1,1.0,1.0\n", "csv"),
     *(
         (_json_point(stored_count=stored, contained_total=contained), "json")
         for stored, contained in (
             (b"1.5", b"1"), (b"true", b"1"), (b'"7"', b"1"), (b"1", b"1e300"), (b"1", b"true"),
         )
     ),
-    # ranges a sweep writes: counts from 1, entropy at least 0, expected precision in (0, 1],
-    # observed precision in [0, 1], and no NaN or infinity in a float field
+    # ranges a sweep writes: counts from 1, entropy at least 0, both precisions in [0, 1],
+    # and no NaN or infinity in a float field
     *((_csv_point(index, b"0"), "csv") for index in (0, 2)),
     *((_csv_point(1, value), "csv") for value in (b"-1.0", b"-1e-300")),
-    *((_csv_point(3, value), "csv") for value in (b"0.0", b"-0.5", b"1.0000001", b"7.0")),
+    *((_csv_point(3, value), "csv") for value in (b"-0.5", b"1.0000001", b"7.0")),
     *((_csv_point(4, value), "csv") for value in (b"-0.1", b"1.5")),
     *(
         (_csv_point(index, value), "csv")
@@ -233,7 +236,7 @@ MALFORMED_REPORTS = [
         (_json_point(**change), "json")
         for change in (
             dict(stored_count=b"0"), dict(stored_count=b"-3"), dict(contained_total=b"0"),
-            dict(entropy=b"-1.0"), dict(precision_expected=b"7.0"), dict(precision_expected=b"0"),
+            dict(entropy=b"-1.0"), dict(precision_expected=b"7.0"),
             dict(precision_observed=b"-0.5"), dict(precision_observed=b"2"),
             dict(entropy=b"NaN"), dict(precision_expected=b"NaN"), dict(precision_observed=b"NaN"),
             dict(entropy=b"Infinity"), dict(entropy=b"1e400"), dict(precision_observed=b"-Infinity"),
@@ -257,6 +260,9 @@ def test_parse_report_rejects_malformed_text():
     # range edges a sweep can write
     assert parse_report(_csv_point(4, b"0.0"), "csv").points[0].precision_observed == 0.0
     assert parse_report(_csv_point(3, b"1e-300"), "csv").points[0].precision_expected == 1e-300
+    # S / contained underflows to 0.0 once contained passes about S * 10**324
+    assert parse_report(_csv_point(3, b"0.0"), "csv").points[0].precision_expected == 0.0
+    assert parse_report(_json_point(precision_expected=b"0"), "json").points[0].precision_expected == 0
     assert parse_report(_json_point(entropy=b"3.5"), "json").points[0].entropy == 3.5
     for data, format in MALFORMED_REPORTS:
         with pytest.raises(ParseError):
@@ -269,6 +275,23 @@ def test_golden_reports_round_trip():
     for path in paths:
         data, format = path.read_bytes(), path.suffix[1:]
         assert emit_report(parse_report(data, format), format) == data
+
+
+def test_csv_line_ends_do_not_change_the_report():
+    data = (Path(__file__).parent / "golden" / "sweep_16x16_seed1.csv").read_bytes()
+    report = parse_report(data, "csv")
+    assert len(report.points) == 6
+    for variant in (data.replace(b"\n", b"\r\n"), data.removesuffix(b"\n")):
+        assert parse_report(variant, "csv") == report
+
+
+def test_a_sweep_whose_expected_precision_underflows_round_trips():
+    # 3 stored of a 339-digit contained count: S / contained is below the least float, so 0.0
+    report = run_sweep(ExperimentConfig(TableShape(1100, 3), (3,), trials=1, seed=1))
+    (point,) = report.points
+    assert len(str(point.contained_total)) == 339 and point.precision_expected == 0.0
+    for format in ("csv", "json"):
+        assert parse_report(emit_report(report, format), format) == report
 
 
 @given(st.binary() | st.text().map(str.encode), st.sampled_from(["csv", "json"]))

@@ -100,6 +100,10 @@ def test_only_the_sweep_loads_the_experiment_module():
     assert result.stdout == number + entropy + "[]\n" + sweep
 
 
+def test_the_sweep_module_writes_and_reads_csv_without_the_csv_module():
+    _child("-c", "import sys, tabcomp.experiment; assert 'csv' not in sys.modules")
+
+
 def test_the_cli_module_runs_as_a_script():
     result = _child("-m", "tabcomp.cli", "number", "--shape", "4x7", "--k", "1 2 4 7")
     assert (result.stdout, result.stderr) == ((GOLDEN / "number_4x7.txt").read_text(), "")
