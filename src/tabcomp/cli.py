@@ -39,8 +39,9 @@ from .tables import evaluate
 __all__ = ["main", "cli"]
 
 
-def _decimals(tokens: list[str], message: str) -> tuple[int, ...]:
-    """Each token's ``decimal_value``; a usage error when there is none or one is malformed."""
+def _decimals(text: str, tokens: list[str], expected: str) -> tuple[int, ...]:
+    """Each token's ``decimal_value``; a usage error naming ``expected`` and at most the
+    first 40 characters of the flag's ``text`` when there is none or one is malformed."""
     try:
         values = tuple(decimal_value(token) for token in tokens)
     except ParseError as error:  # a token past the digit limit: name the limit, not the token
@@ -48,36 +49,33 @@ def _decimals(tokens: list[str], message: str) -> tuple[int, ...]:
     except ValueError:
         values = ()
     if not values:
-        raise argparse.ArgumentTypeError(message)
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise argparse.ArgumentTypeError(f"{expected}, got {shown}")
     return values
 
 
 def _shape_argument(text: str) -> tuple[int, int]:
     pieces = text.split("x")
-    return _decimals(pieces if len(pieces) == 2 else [], f"shape must look like '4x7', got {text!r}")
+    return _decimals(text, pieces if len(pieces) == 2 else [], "shape must look like '4x7'")
 
 
 def _integer_argument(text: str) -> int:
-    (value,) = _decimals([text.removeprefix("-")], f"expected a decimal integer, got {text!r}")
+    (value,) = _decimals(text, [text.removeprefix("-")], "expected a decimal integer")
     return -value if text.startswith("-") else value
 
 
 def _digits_argument(text: str) -> tuple[int, ...]:
-    return _decimals(text.split(), f"digits must be space-separated non-negative integers, got {text!r}")
+    return _decimals(text, text.split(), "digits must be space-separated non-negative integers")
 
 
 def _counts_argument(text: str) -> tuple[int, ...]:
     tokens = [piece.strip() for piece in text.split(",")]
-    return _decimals(tokens, f"counts must be comma-separated non-negative integers, got {text!r}")
+    return _decimals(text, tokens, "counts must be comma-separated non-negative integers")
 
 
-def _read_document_bytes(path: str) -> bytes:
-    if path == "-":
-        stream = sys.stdin
-        buffer = getattr(stream, "buffer", None)
-        if buffer is not None:
-            return buffer.read()
-        return stream.read().encode("utf-8")
+def _read_document(path: str) -> str | bytes:
+    if path == "-":  # bytes from a real standard input, str from a replaced text stream
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
     try:
         with open(path, "rb") as handle:
             return handle.read()
@@ -88,7 +86,7 @@ def _read_document_bytes(path: str) -> bytes:
 def _load_table(path: str, function_needed: str | None = None) -> FunctionTable | RelationTable:
     """The table of the document at ``path``, '-' for standard input; with
     ``function_needed``, a relation document is a domain error with that message."""
-    document = parse_table_document(_read_document_bytes(path))
+    document = parse_table_document(_read_document(path))
     if function_needed and document.kind != "function":
         raise DomainError(function_needed)
     return document.table

@@ -67,13 +67,12 @@ class ExperimentConfig:
             raise ConfigError(f"trials {self.trials!r} is not a positive integer")
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed {self.seed!r} outside 0..2**64-1")
-        if self.distinct:
-            total = self.shape.m**self.shape.n
-            if max(self.stored_counts) > total:
-                raise ConfigError(
-                    f"cannot store {max(self.stored_counts)} distinct total functions "
-                    f"in shape {self.shape}; only {total} exist"
-                )
+        m, n, most = self.shape.m, self.shape.n, max(self.stored_counts)
+        # m**n >= 2**((m.bit_length() - 1) * n): built only where that bound does not pass max(S)
+        if self.distinct and (m.bit_length() - 1) * n < most.bit_length() and most > m**n:
+            raise ConfigError(
+                f"cannot store {most} distinct total functions in shape {self.shape}; only {m**n} exist"
+            )
 
 
 @dataclass(frozen=True)

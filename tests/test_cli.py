@@ -74,6 +74,10 @@ def test_stdin_without_a_byte_buffer_is_read_as_text(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("table 4 7 function\n1 2 4\n"))
     code, out, _ = run_cli(capsys, ["encode"])
     assert (code, out) == (2, "")
+    # the text is parsed as it is, not encoded first: a lone surrogate is a malformed digit
+    monkeypatch.setattr(sys, "stdin", io.StringIO("table 2 2 function\n\udc80 1\n"))
+    message = "error: line 2, column 1: digit '\\udc80' is not a decimal integer\n"
+    assert run_cli(capsys, ["encode"]) == (2, "", message)
 
 
 def test_decode(capsys):
@@ -373,6 +377,18 @@ EXIT_CORPUS += [
     (["entropy", "-"], "table 2 3 relation\ncol 1: 1\ncol 2: x\ncol 3: 1\n", 2,
      "error: line 3, column 8: row 'x' is not a decimal integer"),
 ]
+# a malformed flag value is shown up to its first 40 characters, then "..."
+LONG_VALUES = [
+    (["decode", "--shape", "x" * 5000, "--k", "1"], None, 2,
+     "argument --shape: shape must look like '4x7', got '" + "x" * 40 + "'..."),
+    (["decode", "--shape", "2x3", "--k", "1_" + "2" * 4998], None, 2,
+     "argument --k: digits must be space-separated non-negative integers, got '1_" + "2" * 38 + "'..."),
+    (["sweep", "--shape", "2x2", "--counts", "1;" * 2500, "--trials", "10", "--seed", "1"], None, 2,
+     "argument --counts: counts must be comma-separated non-negative integers, got '" + "1;" * 20 + "'..."),
+    (["unnumber", "0x" + "f" * 4998], None, 2,
+     "argument number: expected a decimal integer, got '0x" + "f" * 38 + "'..."),
+]
+EXIT_CORPUS += LONG_VALUES
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
 
@@ -392,6 +408,27 @@ def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, e
     else:
         assert last.startswith("tabcomp")
         assert _unquoted(last).endswith(_unquoted(last_line))
+
+
+@pytest.mark.parametrize("argv,stdin,expected,last_line", LONG_VALUES, ids=["shape", "k", "counts", "number"])
+def test_a_long_malformed_flag_value_is_cut_off(capsys, monkeypatch, argv, stdin, expected, last_line):
+    monkeypatch.setenv("NO_COLOR", "1")
+    monkeypatch.delenv("FORCE_COLOR", raising=False)  # argparse colours errors from Python 3.14 on
+    assert len(max(argv, key=len)) == 5000
+    code, out, err = run_cli(capsys, argv)
+    last = err.splitlines()[-1]
+    assert (code, out, last) == (expected, "", f"tabcomp {argv[0]}: error: {last_line}")
+    assert len(last.encode("utf-8")) < 200
+
+
+def test_text_and_byte_stdin_answer_alike(capsys, monkeypatch, docs):
+    cases = [(argv, stdin) for argv, stdin, _, _ in EXIT_CORPUS if stdin is not None]
+    assert len(cases) > 10
+    for argv_template, stdin in cases:
+        argv = [piece.format(**docs) for piece in argv_template]
+        from_bytes = run_cli(capsys, argv, stdin, monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))  # no .buffer: read as text
+        assert run_cli(capsys, argv) == from_bytes, argv
 
 
 @pytest.mark.parametrize("argv_template", OVERSIZED)

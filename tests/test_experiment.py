@@ -62,6 +62,25 @@ def test_config_validation():
     ExperimentConfig(TableShape(2, 2), (5,), trials=10, seed=0, distinct=False)
 
 
+def test_the_distinct_bound_needs_no_full_power():
+    # 3**(10**7) has ~4.8 million digits; the bit lengths alone show it exceeds S=1
+    tracemalloc.start()
+    try:
+        ExperimentConfig(TableShape(10**7, 3), (1,), trials=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the bound stays exact where the bit lengths cannot settle it
+    for n, m, total in ((2, 3, 9), (64, 2, 2**64), (5, 1, 1)):
+        ExperimentConfig(TableShape(n, m), (total,), trials=1, seed=0)
+        with pytest.raises(ConfigError) as refused:
+            ExperimentConfig(TableShape(n, m), (total + 1,), trials=1, seed=0)
+        assert str(refused.value) == (
+            f"cannot store {total + 1} distinct total functions in shape {n}x{m}; only {total} exist"
+        )
+
+
 def test_run_sweep_rejects_bad_worker_count():
     with pytest.raises(ConfigError):
         run_sweep(_small_config(), workers=0)
