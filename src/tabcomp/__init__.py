@@ -18,7 +18,7 @@ from .tables import *
 
 __version__ = "0.1.0"
 
-# experiment.__all__, loaded on first use (PEP 562): only the sweep needs csv and json
+# experiment.__all__, loaded on first use (PEP 562): only the sweep needs json and dataclasses
 _EXPERIMENT = ["ExperimentConfig", "SweepPoint", "ExperimentReport", "run_sweep", "emit_report", "parse_report"]
 
 # each module's __all__ is the one list of its public names; _EXPERIMENT stands in for experiment's

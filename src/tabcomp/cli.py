@@ -170,9 +170,7 @@ def _cmd_contains(args: argparse.Namespace) -> None:
 
 def _cmd_contained_count(args: argparse.Namespace) -> None:
     table = _load_table(args.file)
-    count = count_contained(table, args.mode)
-    check_result_digits(count)
-    print(count)
+    print(count_contained(table, args.mode))
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
@@ -189,7 +187,7 @@ def _cmd_antidiag(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    from .experiment import ExperimentConfig, emit_report, run_sweep  # only the sweep loads csv and json
+    from .experiment import ExperimentConfig, emit_report, run_sweep  # only sweep loads json, dataclasses
     config = ExperimentConfig(
         shape=TableShape(*args.shape),
         stored_counts=args.counts,

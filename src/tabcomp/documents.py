@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Literal
 
-from .enumeration import FunctionTable, TableShape
+from .enumeration import FunctionTable, TableShape, _Record
 from .errors import ParseError
 from .relations import RelationTable, _ascending_within, _sorted_relation
 
@@ -38,11 +37,13 @@ _TEXTS = {value: str(value) for value in range(_LARGEST + 1)}
 _VALUES = {text: value for value, text in _TEXTS.items()}
 
 
-@dataclass(frozen=True)
-class TableDocument:
+class TableDocument(_Record):
     """One parsed table, function or relation."""
 
     table: FunctionTable | RelationTable
+
+    def __init__(self, table: FunctionTable | RelationTable) -> None:
+        self.__dict__["table"] = table
 
     @property
     def shape(self) -> TableShape:

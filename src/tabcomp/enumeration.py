@@ -20,7 +20,6 @@ numbering of every finite discrete function across all shapes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import ArityError, DomainError, InvalidIndexError, ShapeError
@@ -41,18 +40,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TableShape:
+class _Record:
+    """A frozen record: compared, hashed and shown by its ``__dict__``, filled in field order."""
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class TableShape(_Record):
     """An n×m table shape: n argument columns by m value rows, both >= 1."""
 
     n: int
     m: int
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ShapeError(f"argument count n must be a positive integer, got {self.n!r}")
-        if type(self.m) is not int or self.m < 1:
-            raise ShapeError(f"value count m must be a positive integer, got {self.m!r}")
+    def __init__(self, n: int, m: int) -> None:
+        if type(n) is not int or n < 1:
+            raise ShapeError(f"argument count n must be a positive integer, got {n!r}")
+        if type(m) is not int or m < 1:
+            raise ShapeError(f"value count m must be a positive integer, got {m!r}")
+        self.__dict__.update(n=n, m=m)
 
     @property
     def diagonal(self) -> int:
@@ -70,8 +88,7 @@ def check_position(position: int, shape: TableShape, axis: Literal["argument", "
         raise DomainError(f"{axis} {position!r} outside {unit} 1..{limit}")
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(_Record):
     """A possibly partial finite discrete function of shape (n, m), held as its digit string.
 
     ``marks[i]``, also ``digits[i]``, is the marked row (1..m) of column i+1, or 0
@@ -81,15 +98,18 @@ class FunctionTable:
     shape: TableShape
     marks: tuple[int, ...]
 
+    def __init__(self, shape: TableShape, marks: Iterable[int]) -> None:
+        self.__dict__.update(shape=shape, marks=tuple(marks))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         """The one validation rule for digit strings: n ints, each in 0..m."""
-        shape, marks = self.shape, tuple(self.marks)
+        shape, marks = self.shape, self.marks
         if len(marks) != shape.n:
             raise InvalidIndexError(f"expected {shape.n} digits for shape {shape}, got {len(marks)}")
         for position, digit in enumerate(marks, start=1):
             if type(digit) is not int or not 0 <= digit <= shape.m:
                 raise InvalidIndexError(f"digit {digit!r} at position {position} outside 0..{shape.m}")
-        object.__setattr__(self, "marks", marks)
 
     @property
     def digits(self) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from typing import Callable, Literal
 
 from .documents import decimal_value
 from .enumeration import TableShape
-from .errors import ConfigError, ParseError, check_result_digits
+from .errors import ConfigError, DomainError, ParseError
 from .relations import RelationTable, _count_sorted_hits, _sorted_relation, count_contained, entropy
 from .streams import substream_indices, substream_seed
 
@@ -175,14 +175,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master, counts = _master_sequence(config), config.stored_counts
-    marked, prefixes, done = [set() for _ in range(config.shape.n)], {}, 0
+    marked, columns, prefixes, done = [set() for _ in range(config.shape.n)], [()] * config.shape.n, {}, 0
     for size in sorted(set(counts)):
         for rows, column in zip(marked, zip(*master[done:size])):
             rows.update(column)
         done = size
-        relation = _sorted_relation(config.shape, map(sorted, marked))
-        contained = count_contained(relation, "total-on-support")
-        check_result_digits(contained, error=ConfigError)  # before any trial runs
+        columns = [old if len(old) == len(rows) else tuple(sorted(rows)) for old, rows in zip(columns, marked)]
+        relation = _sorted_relation(config.shape, columns)
+        try:  # before any trial runs
+            contained = count_contained(relation, "total-on-support")
+        except DomainError as error:  # a result too large to write
+            raise ConfigError(*error.args) from None
         prefixes[size] = (relation, contained)
     points, targets, seen, done = [None] * len(counts), [], set(), 0
     for position in sorted(range(len(counts)), key=counts.__getitem__):

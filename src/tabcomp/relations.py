@@ -19,11 +19,10 @@ import math
 import operator
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .enumeration import FunctionTable, TableShape, check_position
-from .errors import DomainError, ShapeError
+from .enumeration import FunctionTable, TableShape, _Record, check_position
+from .errors import DomainError, ShapeError, check_result_digits
 from .streams import _CHUNK, substream_indices, substream_seed, uniform_index
 
 __all__ = [
@@ -41,15 +40,17 @@ __all__ = [
 CountMode = Literal["total-on-support", "including-partial"]
 
 
-@dataclass(frozen=True)
-class RelationTable:
+class RelationTable(_Record):
     """An n×m grid of boolean marks: each argument column's marked rows, ascending."""
 
     shape: TableShape
     columns: tuple[tuple[int, ...], ...]
 
+    def __init__(self, shape: TableShape, columns: Iterable[Iterable[int]]) -> None:
+        self.__dict__.update(shape=shape, columns=tuple(map(tuple, columns)))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         if len(self.columns) != self.shape.n:
             raise ShapeError(
                 f"expected {self.shape.n} columns for shape {self.shape}, got {len(self.columns)}"
@@ -222,13 +223,19 @@ def count_contained(
     total-on-support: one choice per non-empty column, empty columns forced
     undefined, giving the product of the non-zero v_i. including-partial:
     every column may also stay undefined, giving the product of (v_i + 1),
-    which counts every contained function down to the empty one.
+    which counts every contained function down to the empty one. A count past the
+    digit limit is a DomainError, refused unbuilt if 2 ** sum(f.bit_length() - 1) passes it.
     """
     if mode == "total-on-support":
-        return math.prod(count for count in map(len, relation.columns) if count >= 1)
-    if mode == "including-partial":
-        return math.prod(count + 1 for count in map(len, relation.columns))
-    raise DomainError(f"unknown counting mode {mode!r}")
+        factors = [count for count in map(len, relation.columns) if count >= 1]
+    elif mode == "including-partial":
+        factors = [count + 1 for count in map(len, relation.columns)]
+    else:
+        raise DomainError(f"unknown counting mode {mode!r}")
+    check_result_digits(2, sum(map(int.bit_length, factors)) - len(factors))
+    count = math.prod(factors)
+    check_result_digits(count)
+    return count
 
 
 def inverse_evaluate_relation(

@@ -9,12 +9,13 @@ import random
 import sys
 import time
 import tracemalloc
+import types
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tabcomp import cli, experiment
+from tabcomp import cli, experiment, relations
 from tabcomp.cli import main
 from tabcomp.enumeration import FunctionIndex, TableShape, function_number
 from tabcomp.errors import DomainError, check_result_digits
@@ -447,6 +448,21 @@ def test_oversized_results_exit_1_with_one_message(capsys, monkeypatch, docs, ar
         assert elapsed < 1
 
 
+@pytest.mark.parametrize("mode", ["total-on-support", "including-partial"])
+def test_a_large_relation_document_is_refused_before_its_count_is_built(capsys, monkeypatch, tmp_path, mode):
+    # every cell of 4 * limit columns by 9 rows marked: each column's factor, 9 or 10, adds at
+    # least 3 bits to the count, so the bit lengths alone refuse it and no product is built
+    n = 4 * sys.get_int_max_str_digits()
+    path = tmp_path / "full9.doc"
+    path.write_text(f"table {n} 9 relation\n" + "".join(f"col {i}: 1 2 3 4 5 6 7 8 9\n" for i in range(1, n + 1)))
+
+    def unbuilt(factors):
+        raise AssertionError("the count was built")
+
+    monkeypatch.setattr(relations, "math", types.SimpleNamespace(prod=unbuilt))
+    assert run_cli(capsys, ["contained-count", str(path), "--mode", mode]) == (1, "", TOO_LARGE + "\n")
+
+
 def test_result_digit_rule_is_exact_at_the_limit():
     limit = sys.get_int_max_str_digits()
     for base in (2, 3, 7, 9, 10, 11, 255, 256, 1000, 10**6 + 3, 2**64, 10**limit - 1, 10**limit):
@@ -477,11 +493,13 @@ def test_number_is_refused_exactly_past_the_limit(capsys):
         sys.set_int_max_str_digits(saved)
 
 
-def test_no_digit_limit_refuses_no_result(capsys):
+def test_no_digit_limit_refuses_no_result(capsys, docs):
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         assert run_cli(capsys, ["count", "--shape", "5000x9"]) == (0, "1" + "0" * 5000 + "\n", "")
+        wide = ["contained-count", docs["wide"], "--mode", "including-partial"]
+        assert run_cli(capsys, wide) == (0, f"{2**20000}\n", "")
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -12,8 +14,11 @@ from tabcomp import (
     ArityError,
     DomainError,
     FunctionIndex,
+    FunctionTable,
     InvalidIndexError,
+    RelationTable,
     ShapeError,
+    TableDocument,
     TableShape,
     anti_diagonal,
     count_functions,
@@ -284,3 +289,75 @@ def test_index_reads_as_natural_number():
     # digits (1,2,4,7) in base 8: ((1*8 + 2)*8 + 4)*8 + 7 = 679
     index = FunctionIndex(TableShape(4, 7), (1, 2, 4, 7))
     assert index.as_natural() == 679
+
+
+# the four records of the CLI's import path: plain frozen classes that answer as frozen dataclasses
+def _records():
+    shape = TableShape(2, 3)
+    function = FunctionTable(shape, [1, 0])
+    relation = RelationTable(shape, [[1, 3], []])
+    return [
+        (shape, "TableShape(n=2, m=3)", (2, 3)),
+        (function, "FunctionTable(shape=TableShape(n=2, m=3), marks=(1, 0))", (shape, (1, 0))),
+        (
+            relation,
+            "RelationTable(shape=TableShape(n=2, m=3), columns=((1, 3), ()))",
+            (shape, ((1, 3), ())),
+        ),
+        (
+            TableDocument(function),
+            "TableDocument(table=FunctionTable(shape=TableShape(n=2, m=3), marks=(1, 0)))",
+            (function,),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["TableShape", "FunctionTable", "RelationTable", "TableDocument"])
+def test_records_answer_as_frozen_dataclasses(index):
+    record, text, fields = _records()[index]
+    twin = _records()[index][0]
+    assert repr(record) == text
+    assert hash(record) == hash(fields)
+    assert record == twin and record is not twin and not record != twin
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    name = next(iter(vars(record)))
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+
+
+def test_records_of_two_classes_are_never_equal():
+    shape = TableShape(2, 2)
+    function = FunctionTable(shape, (1, 2))
+    relation = RelationTable(shape, function.columns)
+    assert function != relation and relation != function
+    assert TableDocument(function) != function
+    assert shape != (2, 2) and hash(shape) == hash((2, 2))
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: TableShape(0, 1), ShapeError, "argument count n must be a positive integer, got 0"),
+        (lambda: TableShape(True, 1), ShapeError, "argument count n must be a positive integer, got True"),
+        (lambda: TableShape(2, -3), ShapeError, "value count m must be a positive integer, got -3"),
+        (lambda: FunctionTable(TableShape(2, 3), (0,)), InvalidIndexError, "expected 2 digits for shape 2x3, got 1"),
+        (lambda: FunctionTable(TableShape(2, 3), (0, 4)), InvalidIndexError, "digit 4 at position 2 outside 0..3"),
+        (lambda: FunctionTable(TableShape(2, 3), ("1", 0)), InvalidIndexError, "digit '1' at position 1 outside 0..3"),
+        (lambda: RelationTable(TableShape(2, 3), [[1]]), ShapeError, "expected 2 columns for shape 2x3, got 1"),
+        (
+            lambda: RelationTable(TableShape(2, 3), [[1], [3, 2]]),
+            ShapeError,
+            "column 2 rows are not strictly ascending ints in 1..3",
+        ),
+    ],
+)
+def test_record_validation_messages(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

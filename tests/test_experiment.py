@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -79,6 +80,12 @@ def test_the_distinct_bound_needs_no_full_power():
         assert str(refused.value) == (
             f"cannot store {total + 1} distinct total functions in shape {n}x{m}; only {total} exist"
         )
+
+
+def test_an_oversized_prefix_count_is_a_config_error():
+    config = ExperimentConfig(TableShape(20000, 2), (1, 5), trials=100, seed=1)
+    with pytest.raises(ConfigError, match=f"the result has more than {sys.get_int_max_str_digits()} decimal"):
+        run_sweep(config)
 
 
 def test_run_sweep_rejects_bad_worker_count():

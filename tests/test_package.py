@@ -90,7 +90,7 @@ def test_only_the_sweep_loads_the_experiment_module():
         "from tabcomp import cli\n"
         "cli.main(['number', '--shape', '4x7', '--k', '1 2 4 7'])\n"
         f"cli.main(['entropy', {str(GOLDEN / 'relation_6x5.doc')!r}])\n"
-        "print(sorted({'tabcomp.experiment', 'csv', 'json'} & set(sys.modules)))\n"
+        "print(sorted({'tabcomp.experiment', 'csv', 'json', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         "cli.main(['sweep', '--shape', '3x3', '--counts', '1,2,4,8', '--trials', '2000', '--seed', '42'])\n"
     )
     result = _child("-c", code)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -158,6 +159,13 @@ def test_count_contained_matches_brute_force(relation):
     on_support, with_partial = _brute_force_counts(relation)
     assert count_contained(relation, "total-on-support") == on_support
     assert count_contained(relation, "including-partial") == with_partial
+
+
+def test_count_contained_refuses_a_count_past_the_digit_limit():
+    relation = RelationTable(TableShape(20000, 1), [[1]] * 20000)
+    assert count_contained(relation) == 1
+    with pytest.raises(DomainError, match=f"the result has more than {sys.get_int_max_str_digits()} decimal"):
+        count_contained(relation, "including-partial")
 
 
 def test_count_contained_hand_case():
