@@ -20,9 +20,10 @@ numbering of every finite discrete function across all shapes
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Iterable, Literal, Sequence
 
-from .errors import ArityError, DomainError, InvalidIndexError, ShapeError
+from .errors import ArityError, DomainError, InvalidIndexError, ShapeError, check_result_digits
 
 __all__ = [
     "TableShape",
@@ -186,9 +187,14 @@ def function_number(index: FunctionTable) -> int:
 
     The functions of all earlier tables in the diagonal order come first;
     within its own table the function sits at its digit string read as a
-    base-(m+1) natural, plus one.
+    base-(m+1) natural, plus one. A number ``str`` cannot write is a ``DomainError``.
     """
-    return _offset_before(table_number(index.shape)) + index.as_natural() + 1
+    diagonal = index.shape.diagonal
+    for m in range(1, diagonal):  # the number passes each table of the diagonal before
+        check_result_digits(m + 1, diagonal - m)
+    number = _offset_before(table_number(index.shape)) + index.as_natural() + 1
+    check_result_digits(number)
+    return number
 
 
 def function_from_number(number: int) -> FunctionTable:
@@ -196,19 +202,18 @@ def function_from_number(number: int) -> FunctionTable:
 
     Walks the diagonal order accumulating per-table function counts until the
     table containing ``number`` is found, then expands the residual position
-    in base m+1, left-padded with zeros to n digits.
+    in base m+1, left-padded with zeros to n digits. A number ``str`` cannot
+    write is not one function_number returns: a ``DomainError``.
     """
     if type(number) is not int or number < 1:
         raise DomainError(f"global function number must be a positive integer, got {number!r}")
+    check_result_digits(number)
     remaining = number - 1
-    table = 1
-    while True:
-        shape = table_shape(table)
-        count = count_functions(shape)
-        if remaining < count:
+    for shape in map(table_shape, count(1)):
+        functions = count_functions(shape)
+        if remaining < functions:
             break
-        remaining -= count
-        table += 1
+        remaining -= functions
     base = shape.m + 1
     digits = [0] * shape.n
     for position in reversed(range(shape.n)):

@@ -44,8 +44,8 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def check_result_digits(base: int, exponent: int = 1, error: type[ValueError] = DomainError) -> None:
-    """Raise ``error`` if ``base ** exponent`` has more decimal digits than ``str``
+def check_result_digits(base: int, exponent: int = 1) -> None:
+    """Raise ``DomainError`` if ``base ** exponent`` has more decimal digits than ``str``
     writes, ``sys.get_int_max_str_digits()``: the one rule for a result's size.
     The power of a b-bit base lies in [2**((b-1)*exponent), 2**(b*exponent)) and
     10**limit in (2**(3*limit), 2**(4*limit)), so it is built only when these leave
@@ -55,4 +55,4 @@ def check_result_digits(base: int, exponent: int = 1, error: type[ValueError] = 
         (bits - 1) * exponent >= 4 * limit
         or bits * exponent > 3 * limit and base**exponent >= 10**limit
     ):
-        raise error(f"the result has more than {limit} decimal digits")
+        raise DomainError(f"the result has more than {limit} decimal digits")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -187,6 +189,42 @@ def test_function_from_number_round_trip(number):
 def test_function_from_number_rejects_non_positive():
     with pytest.raises(DomainError):
         function_from_number(0)
+
+
+def test_function_number_is_refused_exactly_past_the_limit():
+    # at a 640-digit limit, 338x77 is the first shape whose largest number passes it while
+    # every table on the diagonal before its own fits, so only the exact check refuses it
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert function_number(FunctionIndex(TableShape(337, 77), (77,) * 337)) < 10**640
+        with pytest.raises(DomainError, match=r"^the result has more than 640 decimal digits$"):
+            function_number(FunctionIndex(TableShape(338, 77), (77,) * 338))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_function_from_number_is_refused_exactly_past_the_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        largest = 10**640 - 1
+        assert function_number(function_from_number(largest)) == largest
+        with pytest.raises(DomainError, match=r"^the result has more than 640 decimal digits$"):
+            function_from_number(10**640)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_numbering_past_the_limit_is_refused_before_the_walk():
+    # a walk to diagonal 3000 takes minutes, and one to the table of 10**limit tens of seconds
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        function_number(FunctionIndex(TableShape(1, 3000), (0,)))
+    with pytest.raises(DomainError):
+        function_from_number(10**limit)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_successor_counts_in_base_m_plus_one():
