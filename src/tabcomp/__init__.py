@@ -18,10 +18,10 @@ from .tables import *
 
 __version__ = "0.1.0"
 
-# experiment.__all__, loaded on first use (PEP 562): only the sweep needs json and dataclasses
+# experiment.__all__ itself, loaded on first use (PEP 562): only the sweep needs json and dataclasses
 _EXPERIMENT = ["ExperimentConfig", "SweepPoint", "ExperimentReport", "run_sweep", "emit_report", "parse_report"]
 
-# each module's __all__ is the one list of its public names; _EXPERIMENT stands in for experiment's
+# each module's __all__ is the one list of its public names; _EXPERIMENT is experiment's
 __all__ = ["__version__"]
 __all__ += documents.__all__
 __all__ += enumeration.__all__

@@ -5,8 +5,9 @@ One document holds one table. The first line names shape and kind,
 line of n space-separated digits, 0 for an unmarked column. A relation
 document continues with one ``col <i>: <rows>`` line per column in order,
 rows ascending and possibly empty. ``#`` starts a comment, blank lines are
-skipped. A body is read in one pass: each line is checked once, and only a
-line that fails is re-read token by token, so every parse error carries the
+skipped. A body is read in one pass: each line is checked once, the digit line
+by ``FunctionTable``'s own rule. A line that fails is only explained: it is
+re-read token by token, into no value, so that every parse error carries the
 line and column of the offending token. Serialization is the exact inverse of
 parsing. A relation column is held as the rows its line lists, so memory is
 linear in the document's size.
@@ -23,7 +24,7 @@ import sys
 from typing import Literal
 
 from .enumeration import FunctionTable, TableShape, _Record
-from .errors import ParseError
+from .errors import InvalidIndexError, ParseError
 from .relations import RelationTable, _ascending_within, _sorted_relation
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
@@ -142,29 +143,28 @@ def _parse_function_body(lines: list[_Line], shape: TableShape) -> FunctionTable
             f"expected a line of {shape.n} digits", line=header_line + 1, column=1
         )
     line_number, body = lines[1]
-    # n decimal digits up to m pass by C-level steps; a line that fails is re-read token by token
-    marks = _decimal_values(body.split(), shape.m)
-    if marks is None or len(marks) != shape.n or max(marks) > shape.m:
+    # FunctionTable's rule, n digits each in 0..m, accepts the digit line; a line it refuses is
+    # only explained: re-read token by token, it raises at its first bad token
+    try:
+        table = FunctionTable(shape, _decimal_values(body.split(), shape.m) or ())
+    except InvalidIndexError:
         tokens = _tokens(body)
         if len(tokens) != shape.n:
             column = tokens[shape.n][1] if len(tokens) > shape.n else tokens[0][1]
             raise ParseError(
                 f"expected {shape.n} digits, got {len(tokens)}", line=line_number, column=column
-            )
-        marks = []
+            ) from None
         for token, column in tokens:
-            digit = _parse_int(token, line_number, column, "digit")
-            if digit > shape.m:
+            if (digit := _parse_int(token, line_number, column, "digit")) > shape.m:
                 raise ParseError(
                     f"digit {digit} exceeds value count {shape.m}", line=line_number, column=column
-                )
-            marks.append(digit)
+                ) from None
     _reject_extra_lines(lines, 2)
-    return FunctionTable(shape, tuple(marks))
+    return table
 
 
-def _checked_rows(line_number: int, body: str, index: int, m: int) -> list[int]:
-    """The rows of column ``index``'s line, token by token; the first bad token raises."""
+def _explain_rows(line_number: int, body: str, index: int, m: int) -> None:
+    """Raise the positioned ParseError of column ``index``'s refused line at its first bad token."""
     tokens = _tokens(body)
     keyword, column = tokens[0]
     if keyword != "col":
@@ -178,19 +178,18 @@ def _checked_rows(line_number: int, body: str, index: int, m: int) -> list[int]:
         raise ParseError(
             f"expected '{index}:', got {label!r}", line=line_number, column=label_column
         )
-    rows: list[int] = []
+    previous = 0
     for token, token_column in tokens[2:]:
         row = _parse_int(token, line_number, token_column, "row")
         if not 1 <= row <= m:
             raise ParseError(f"row {row} outside 1..{m}", line=line_number, column=token_column)
-        if rows and row <= rows[-1]:
+        if row <= previous:
             raise ParseError(
-                f"rows must be strictly ascending, got {row} after {rows[-1]}",
+                f"rows must be strictly ascending, got {row} after {previous}",
                 line=line_number,
                 column=token_column,
             )
-        rows.append(row)
-    return rows
+        previous = row
 
 
 def _decimal_values(words: list[str], m: int) -> list[int] | None:
@@ -212,8 +211,8 @@ def _decimal_values(words: list[str], m: int) -> list[int] | None:
 
 
 def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable:
-    # one pass: each line is checked once by C-level steps, and only a line that fails them is
-    # re-read token by token, which raises at its first bad token; extra lines are checked last
+    # one pass: each line is checked once by C-level steps, and a line that fails them is only
+    # explained: re-read token by token, it raises at its first bad token; extra lines come last
     columns = []
     for index in range(1, shape.n + 1):
         if len(lines) < index + 1:
@@ -221,7 +220,7 @@ def _parse_relation_body(lines: list[_Line], shape: TableShape) -> RelationTable
         words = lines[index][1].split()
         rows = _decimal_values(words[2:], shape.m) if words[:2] == ["col", f"{index}:"] else None
         if rows is None or not _ascending_within(rows, shape.m):
-            rows = _checked_rows(*lines[index], index, shape.m)
+            _explain_rows(*lines[index], index, shape.m)
         columns.append(rows)
     _reject_extra_lines(lines, shape.n + 1)
     return _sorted_relation(shape, columns)

@@ -28,20 +28,12 @@ from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import Callable, Literal
 
+from . import _EXPERIMENT as __all__  # one list: the package names these without loading this module
 from .documents import decimal_value
 from .enumeration import TableShape
 from .errors import ConfigError, DomainError, ParseError
 from .relations import RelationTable, _count_sorted_hits, _sorted_relation, count_contained, entropy
 from .streams import substream_indices, substream_seed
-
-__all__ = [
-    "ExperimentConfig",
-    "SweepPoint",
-    "ExperimentReport",
-    "run_sweep",
-    "emit_report",
-    "parse_report",
-]
 
 ReportFormat = Literal["csv", "json"]
 

@@ -86,6 +86,10 @@ def test_error_positions_report_the_offending_token():
     assert _position_of("table 2 2 function") == (2, 1)
     assert _position_of("table 2 2 function\n0 0\n1 1") == (3, 1)
     assert _position_of("table 2 2 relation\nrow 1: 1\ncol 2:") == (2, 1)
+    assert _position_of("table 2 2 relation\ncol\ncol 2:") == (2, 1)
+    with pytest.raises(ParseError) as caught:
+        parse_table_document("table 2 2 relation\ncol\ncol 2:")
+    assert str(caught.value) == "line 2, column 1: expected column index '1:' after 'col'"
     assert _position_of("table 2 2 relation\ncol 2: 1\ncol 1:") == (2, 5)
     assert _position_of("table 2 2 relation\ncol 1: 3\ncol 2:") == (2, 8)
     assert _position_of("table 2 2 relation\ncol 1: 2 1\ncol 2:") == (2, 10)
@@ -160,7 +164,8 @@ def test_document_shaped_input_raises_only_parse_error(tokens):
 
 def _token_by_token_relation_body(lines, shape):
     """The relation grammar checked one token at a time: the oracle for the
-    per-line checks of ``documents._parse_relation_body``. ``lines`` hold
+    per-line checks of ``documents._parse_relation_body``, which re-reads a
+    refused line only to explain it, never into a value. ``lines`` hold
     (line number, [(token, 1-based column), ...]) pairs."""
     columns = []
     for index in range(1, shape.n + 1):
@@ -201,8 +206,9 @@ def _token_by_token_relation_body(lines, shape):
 
 
 def _token_by_token_function_body(lines, shape):
-    """The function grammar checked one token at a time: the oracle for the
-    digit line's check in ``documents._parse_function_body``; ``lines`` as above."""
+    """The function grammar checked one token at a time: the oracle for
+    ``documents._parse_function_body``, where ``FunctionTable``'s own rule
+    accepts the digit line and a refused line is only explained; ``lines`` as above."""
     if len(lines) < 2:
         raise ParseError(f"expected a line of {shape.n} digits", line=lines[0][0] + 1, column=1)
     line_number, tokens = lines[1]

@@ -75,9 +75,19 @@ def test_star_import_binds_exactly_the_public_names():
 
 
 def test_the_lazy_names_are_the_sweep_modules_own():
-    assert tabcomp._EXPERIMENT == importlib.import_module("tabcomp.experiment").__all__
+    assert importlib.import_module("tabcomp.experiment").__all__ is tabcomp._EXPERIMENT
     # in a fresh interpreter, where nothing has imported the module yet
     _child("-c", "import sys, tabcomp; assert tabcomp.experiment is sys.modules['tabcomp.experiment']")
+    # a star import of the sweep's module, before anything else of the package is used
+    code = (
+        "before = set(globals())\n"
+        "from tabcomp.experiment import *\n"
+        "print(' '.join(sorted(set(globals()) - before - {'before'})))\n"
+    )
+    result = _child("-c", code)
+    assert result.stderr == ""
+    sweep_names = ["ExperimentConfig", "ExperimentReport", "SweepPoint", "emit_report", "parse_report", "run_sweep"]
+    assert result.stdout.split() == sweep_names
     # a name resolved on use is still listed, and any other name is still missing
     assert set(tabcomp.__all__) <= set(dir(tabcomp))
     with pytest.raises(AttributeError, match="'no_such_name'"):
