@@ -24,7 +24,7 @@ from .enumeration import (
     function_number,
     table_shape,
 )
-from .errors import DomainError, ParseError, check_result_digits
+from .errors import DomainError, ParseError, _checked_seed, check_result_digits
 from .relations import (
     RelationTable,
     contains,
@@ -167,8 +167,7 @@ def _cmd_contained_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
-    relation = _load_table(args.file)
-    table = sample_function(relation, random.Random(args.seed))
+    table = sample_function(_load_table(args.file), random.Random(_checked_seed(args.seed)))
     sys.stdout.write(serialize_table_document(TableDocument(table)))
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for a result's size.
+"""Exception types shared across the package, and the one rule each for a result's size and a seed.
 
 All validation failures are ValueError subclasses so callers can catch
 broadly; the CLI distinguishes ParseError (malformed input, exit 2) from
@@ -56,3 +56,10 @@ def check_result_digits(base: int, exponent: int = 1) -> None:
         or bits * exponent > 3 * limit and base**exponent >= 10**limit
     ):
         raise DomainError(f"the result has more than {limit} decimal digits")
+
+
+def _checked_seed(seed: object) -> int:
+    """``seed`` if an int in 0..2**64-1, else a DomainError: ``random.Random`` seeds from ``abs(seed)``."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed {seed!r} outside 0..2**64-1")
+    return seed

@@ -31,7 +31,7 @@ from typing import Callable, Literal
 from . import _EXPERIMENT as __all__  # one list: the package names these without loading this module
 from .documents import decimal_value
 from .enumeration import TableShape
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, _checked_seed
 from .relations import RelationTable, _count_sorted_hits, _sorted_relation, count_contained, entropy
 from .streams import substream_indices, substream_seed
 
@@ -57,8 +57,10 @@ class ExperimentConfig:
                 raise ConfigError(f"stored count {count!r} is not a positive integer")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials {self.trials!r} is not a positive integer")
-        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"seed {self.seed!r} outside 0..2**64-1")
+        try:
+            _checked_seed(self.seed)
+        except DomainError as error:
+            raise ConfigError(*error.args) from None
         m, n, most = self.shape.m, self.shape.n, max(self.stored_counts)
         # m**n >= 2**((m.bit_length() - 1) * n): built only where that bound does not pass max(S)
         if self.distinct and (m.bit_length() - 1) * n < most.bit_length() and most > m**n:

@@ -23,7 +23,7 @@ from typing import Iterable, Literal
 
 from .enumeration import FunctionTable, TableShape, _Record, check_position
 from .errors import DomainError, ShapeError, check_result_digits
-from .streams import _CHUNK, substream_indices, substream_seed, uniform_index
+from .streams import _CHUNK, _column_indices, substream_indices, substream_seed, uniform_index
 
 __all__ = [
     "RelationTable",
@@ -145,16 +145,14 @@ def count_hits(
 ) -> int:
     """How many of ``trials`` sample_function draws land on a stored function.
 
-    Equal to ``sum(sample_function(relation, randomness).marks in stored_marks
-    for _ in range(trials))`` and leaves ``randomness`` in the same state, but
-    works column by column across a chunk of trials at a time. With the stored
-    digit strings sorted, the ones that agree with every column drawn so far
-    form one contiguous range, which each trial keeps; it stops drawing once
-    the range is empty. A column is drawn for every live trial in one batch.
-    A forced column (at most one marked row) is never drawn: every trial picks
-    its one row, or no row, so the stored digit strings that lack that digit
-    are dropped before any trial. Substream draws do not depend on evaluation
-    order, so neither skipping them nor the order changes an outcome.
+    Equal to ``sum(sample_function(relation, randomness).marks in stored_marks for _ in
+    range(trials))``, leaving ``randomness`` in the same state, but drawn column by column for
+    a chunk of trials at once: the sorted stored digit strings that agree with every column
+    drawn so far form one range, which each trial keeps until it is empty. Each column is one
+    batch, one multiply and one carry test, with a scalar redraw only of a rejected lane. A
+    forced column (at most one marked row) is never drawn: every trial picks its one row, or
+    none, so the stored strings without it are dropped first. Substream draws do not depend on
+    evaluation order, so neither skipping them nor the order changes an outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
@@ -169,9 +167,10 @@ def _count_sorted_hits(
 ) -> int:
     """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked.
 
-    Every trial picks a forced column's one row, or no row, so the stored digit
-    strings without those digits are dropped once, before any trial; only the
-    columns with two or more marked rows are then drawn."""
+    Every trial picks a forced column's one row, or no row, so the stored digit strings
+    without those digits are dropped once, before any trial; each column with two or more
+    marked rows is then one ``_column_indices`` draw of the live trials' bases: one salt,
+    one count, one multiply and one carry test, and a scalar redraw of a rejected lane."""
     forced = [(i, rows[0] if rows else 0) for i, rows in enumerate(relation.columns) if len(rows) < 2]
     if forced:
         targets = [marks for marks in targets if all(marks[i] == row for i, row in forced)]
@@ -185,8 +184,7 @@ def _count_sorted_hits(
         size = min(_CHUNK, trials - start)
         live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(size)]
         for index, rows, column in columns:
-            bases = [base for base, _, _ in live]
-            picks = substream_indices(bases, [index] * len(live), [len(rows)] * len(live))
+            picks = _column_indices([base for base, _, _ in live], index, len(rows))
             survivors = []
             for (base, low, high), row in zip(live, [rows[pick] for pick in picks]):
                 low = bisect_left(column, row, low, high)

@@ -10,13 +10,15 @@ gives the index ``W * count >> 64k`` and is redrawn only while the product's low
 64k bits are below ``2**64k % count``, so every index is reached by the same number of
 words and the draw is exactly uniform.
 
-The batch form ``substream_indices`` runs the finalizer on up to ``_CHUNK``
-values at once: value i sits in bits 128i..128i+63 of one Python int, and each
-whole-int step is masked back to those low halves. A sum or a product of values
-below 2**64 stays below 2**128, so no carry crosses a lane; a right shift only
-pulls the next lane's low bits into this lane's high half, which the mask clears.
-The lanes then carry the 128-bit product of each word and a count of at most
-2**64: its high half is the index, its low half what the rejection reads.
+The batch form ``substream_indices``, and the trial loop's column draw of one salt
+and one count, run the finalizer on up to ``_CHUNK`` values at once: value i sits
+in bits 128i..128i+63 of one Python int, and each whole-int step is masked back to
+those low halves. A sum or a product of values below 2**64 stays below 2**128, so
+no carry crosses a lane; a right shift only pulls the next lane's low bits into
+this lane's high half, which the mask clears. One multiply by a count of at most
+2**64 leaves each word's product in its lane, the index in its high half; one carry
+test, 2**64 - threshold added to every low half, carries into bit 64 of each lane
+kept, and only a lane without that carry is redrawn, by the scalar rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import operator
 import sys
 from array import array
 from itertools import compress, repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -87,14 +89,33 @@ def _finalize_lanes(z: int, lanes: int) -> int:
     return (z ^ (z >> 31)) & lanes
 
 
-def substream_indices(
-    bases: Sequence[int], salts: Sequence[int], counts: Sequence[int]
-) -> list[int]:
+def _scaled(words: int, count: int, ones: int, lanes: int, seed: Callable[[int], int]) -> Sequence[int]:
+    """Each lane's ``W * count >> 64``, count <= 2**64; a rejected lane is redrawn from ``seed(lane)``."""
+    product, threshold = words * count, (1 << 64) % count
+    halves = array("Q", product.to_bytes(16 * ((ones.bit_length() + 127) // 128), sys.byteorder))
+    result = halves[1 - _LOW :: 2]
+    if (product & lanes) + ones * ((1 << 64) - threshold) >> 64 & ones != ones:
+        for lane in compress(range(len(result)), map(operator.lt, halves[_LOW::2], repeat(threshold))):
+            result[lane] = uniform_index(seed(lane), count)  # rejects the same first word, goes on
+    return result
+
+
+def _column_indices(bases: Sequence[int], salt: int, count: int) -> Sequence[int]:
+    """``substream_indices`` of at most ``_CHUNK`` bases, one salt and one count <= 2**64."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * len(bases), "little")
+    lanes, offset = ones * _MASK64, ones * ((salt + 1) * _GAMMA & _MASK64)
+    seeds = _finalize_lanes(_lanes(bases, ones) + offset, lanes) if bases else 0
+    words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
+    return _scaled(words, count, ones, lanes, lambda lane: substream_seed(bases[lane], salt))
+
+
+def substream_indices(bases: Sequence[int], salts: Sequence[int], counts: Sequence[int]) -> list[int]:
     """``uniform_index(substream_seed(base, salt), count)`` lane by lane; bases, salts < 2**64.
-    A chunk's bases or salts of one value, as every trial-loop salt, enter by one multiply."""
+    A chunk's bases or salts of one value enter by one multiply. One count <= 2**64 in every
+    lane (``--no-distinct``, equal columns) is the column draw's tail: one multiply, one carry
+    test and a scalar redraw only of a rejected lane. The trial loop calls ``_column_indices``."""
     if len(counts) and min(counts) < 1:
         raise ValueError(f"count must be positive, got {min(counts)}")
-    # one count of at most 2**64 in every lane, as in each trial-loop draw: one multiply per chunk
     same = len(counts) and counts.count(counts[0]) == len(counts) and counts[0] <= 1 << 64
     result: list[int] = []
     lows: list[int] = []
@@ -107,9 +128,9 @@ def substream_indices(
         seeds = _finalize_lanes(_lanes(bases[chunk], ones) + offsets, lanes)
         words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
         if same:
-            halves = array("Q", (words * counts[0]).to_bytes(16 * size, sys.byteorder))
-            result += halves[1 - _LOW :: 2]
-            lows += halves[_LOW::2]
+            result += _scaled(
+                words, counts[0], ones, lanes, lambda i: substream_seed(bases[start + i], salts[start + i])
+            )
             continue
         words = array("Q", words.to_bytes(16 * size, sys.byteorder))[_LOW::2]
         products = list(map(operator.mul, words, counts[chunk]))
@@ -117,10 +138,7 @@ def substream_indices(
         lows += map(operator.and_, products, repeat(_MASK64))
         # a count above 2**64 has threshold 2**64, above every low half: the scalar draw takes it
         thresholds += map(operator.mod, repeat(1 << 64), counts[chunk])
-    for lane in compress(
-        range(len(result)),
-        map(operator.lt, lows, repeat((1 << 64) % counts[0]) if same else thresholds),
-    ):
+    for lane in compress(range(len(lows)), map(operator.lt, lows, thresholds)):
         # the scalar draw rejects the same first word and goes on, or joins words past 2**64
         result[lane] = uniform_index(substream_seed(bases[lane], salts[lane]), counts[lane])
     return result

@@ -227,6 +227,12 @@ def test_sample_is_deterministic(capsys, docs):
     assert out.startswith("table 2 2 function\n")
 
 
+def test_sample_takes_every_seed_of_the_range(capsys, docs):
+    for seed in (0, (1 << 64) - 1):
+        code, out, err = run_cli(capsys, ["sample", docs["full22"], "--seed", str(seed)])
+        assert (code, err) == (0, "") and out.startswith("table 2 2 function\n")
+
+
 def test_sample_of_a_function_document_returns_it(capsys, docs):
     code, out, _ = run_cli(capsys, ["sample", docs["partial"], "--seed", "1"])
     assert (code, out) == (0, DOC_TEXTS["partial"])
@@ -390,6 +396,11 @@ LONG_VALUES = [
      "argument number: expected a decimal integer, got '0x" + "f" * 38 + "'..."),
 ]
 EXIT_CORPUS += LONG_VALUES
+# sample refuses what sweep refuses, a seed outside 0..2**64-1: random.Random would seed -5 as 5
+EXIT_CORPUS += [
+    (["sample", "{full22}", "--seed", "-5"], None, 1, "error: seed -5 outside 0..2**64-1"),
+    (["sample", "{full22}", "--seed", str(1 << 64)], None, 1, f"error: seed {1 << 64} outside 0..2**64-1"),
+]
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from tabcomp import streams
 from tabcomp.streams import substream_indices, substream_seed, uniform_index
@@ -105,6 +105,55 @@ _VARYING = [3, 1 << 40, 5, 0]
 def test_constant_lanes_equal_the_scalar_draw(bases, salts, count):
     expected = [uniform_index(substream_seed(base, salt), count) for base, salt in zip(bases, salts)]
     assert substream_indices(bases, salts, [count] * len(bases)) == expected
+
+
+def _first_word_rejected(base: int, salt: int, count: int) -> bool:
+    """Whether the scalar draw rejects the first word of substream (base, salt) at ``count``."""
+    word = streams._finalize((substream_seed(base, salt) + streams._GAMMA) & _MASK64)
+    return word * count & _MASK64 < (1 << 64) % count
+
+
+# a column draw's count is at most 2**64, the most rows a column can mark
+_COLUMN_COUNTS = [count for count in _COUNTS if count <= 1 << 64]
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 2, streams._CHUNK])
+@pytest.mark.parametrize("count", _COLUMN_COUNTS)
+def test_column_draw_equals_scalar_lane_by_lane(lanes, count):
+    fuzz = random.Random(lanes * 11 + count.bit_length())
+    bases, salt = [fuzz.getrandbits(64) for _ in range(lanes)], fuzz.getrandbits(64)
+    expected = [uniform_index(substream_seed(base, salt), count) for base in bases]
+    assert list(streams._column_indices(bases, salt, count)) == expected
+    if count == (1 << 63) + 1 and lanes == streams._CHUNK:  # the redraw path runs
+        assert any(_first_word_rejected(base, salt, count) for base in bases)
+
+
+@pytest.mark.parametrize("position", [0, 1, streams._CHUNK // 2, streams._CHUNK - 1])
+def test_column_draw_redraws_a_single_rejected_lane(position):
+    # bases chosen by the scalar rule: every first word kept but one, so a carry
+    # test that misses a single lane leaves that lane's first-word index in place
+    count, salt, fuzz = (1 << 63) + 1, 4, random.Random(position)
+    kept, rejected = [], []
+    while len(kept) < streams._CHUNK - 1 or not rejected:
+        base = fuzz.getrandbits(64)
+        (rejected if _first_word_rejected(base, salt, count) else kept).append(base)
+    bases = kept[: streams._CHUNK - 1]
+    bases.insert(position, rejected[0])
+    word = streams._finalize((substream_seed(rejected[0], salt) + streams._GAMMA) & _MASK64)
+    drawn = list(streams._column_indices(bases, salt, count))
+    assert drawn == [uniform_index(substream_seed(base, salt), count) for base in bases]
+    assert drawn[position] != word * count >> 64
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, _MASK64), max_size=streams._CHUNK),
+    st.integers(0, _MASK64),
+    st.integers(1, 1 << 64),
+)
+def test_column_draw_is_the_scalar_draw(bases, salt, count):
+    expected = [uniform_index(substream_seed(base, salt), count) for base in bases]
+    assert list(streams._column_indices(bases, salt, count)) == expected
 
 
 def test_batch_lanes_keep_their_own_counts():
