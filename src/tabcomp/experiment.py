@@ -11,12 +11,12 @@ All randomness is derived from the one seed in the config: the master
 sequence from one splitmix64 substream, drawn as one batch of a sparse partial
 Fisher–Yates shuffle, and each point's trials from a substream keyed by point
 position. Points therefore never share generator state, and the report
-depends only on the config. The master sequence stays n-digit tuples: a first
-pass snapshots the relation at each S and checks its contained count before
-any trial runs, a second runs the points in order of S on the sorted distinct
-digit strings stored so far. Trials are counted column by column, drawing as
-``sample_function`` would but skipping draws that cannot change the count; a
-saturated point, whose stored functions are every contained one, draws none.
+depends only on the config. The master sequence stays function indices: a first
+pass decodes them to snapshot the relation at each S and check its contained
+count before any trial runs, a second runs the points in order of S on the
+sorted distinct indices stored so far. Trials are counted column by column,
+drawn as ``sample_function`` draws but skipping draws that cannot change the
+count; a saturated point, every contained function stored, draws none.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class ExperimentConfig:
     distinct: bool = True
 
     def __post_init__(self) -> None:
+        for name, kind in (("shape", TableShape), ("distinct", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
         object.__setattr__(self, "stored_counts", tuple(self.stored_counts))
         if not self.stored_counts:
             raise ConfigError("stored_counts must name at least one sweep point")
@@ -118,14 +121,15 @@ def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
     return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
 
 
-def _master_sequence(config: ExperimentConfig) -> list[tuple[int, ...]]:
-    """The stored functions' digit strings, drawn up-front; point S uses the first S.
+def _master_sequence(config: ExperimentConfig) -> list[int]:
+    """The stored functions' indices, drawn up-front; point S uses the first S.
 
     Draw i is ``uniform_index(substream_seed(substream_seed(seed, 0), i), count)``
-    over function indices range(N), N = m**n. With distinct=True the count is
-    N - i and the draws run a sparse partial Fisher–Yates shuffle, the dict
-    holding only the swapped slots, so every prefix is a uniform sequence
-    without repeats; with distinct=False the count is N and a draw is an index.
+    over function indices range(N), N = m**n, an index being a function's digits
+    less one in base m, first column most significant. With distinct=True the count
+    is N - i and the draws run a sparse partial Fisher–Yates shuffle, the dict
+    holding only the swapped slots, so every prefix is a uniform sequence without
+    repeats; with distinct=False the count is N and a draw is an index.
     """
     total, needed = config.shape.m**config.shape.n, max(config.stored_counts)
     counts = range(total, total - needed, -1) if config.distinct else [total] * needed
@@ -135,26 +139,26 @@ def _master_sequence(config: ExperimentConfig) -> list[tuple[int, ...]]:
         for slot, draw in enumerate(indices):
             indices[slot] = swapped.get(slot + draw, slot + draw)
             swapped[slot + draw] = swapped.get(slot, slot)
-    return _marks(indices, config.shape)
+    return indices
 
 
 def _run_point(
     config: ExperimentConfig, position: int, relation: RelationTable, contained: int,
-    targets: list[tuple[int, ...]],
+    keys: list[int],
 ) -> SweepPoint:
-    """One point on ``targets``, the distinct stored digit strings, sorted. Each is
-    a total function in the relation, so no column is empty; when they number
+    """One point on ``keys``, the distinct stored indices, sorted. Each is a total
+    function in the relation, so no column is empty; when they number
     ``contained`` every sampled function is stored: all trials hit, none is drawn."""
-    if len(targets) == contained:
+    if len(keys) == contained:
         hits = config.trials
     else:
         randomness = random.Random(substream_seed(config.seed, 1, position))
-        hits = _count_sorted_hits(relation, targets, config.trials, randomness)
+        hits = _count_sorted_hits(relation, keys, config.trials, randomness)
     return SweepPoint(
         stored_count=config.stored_counts[position],
         entropy=entropy(relation),
         contained_total=contained,
-        precision_expected=len(targets) / contained,
+        precision_expected=len(keys) / contained,
         precision_observed=hits / config.trials,
     )
 
@@ -169,9 +173,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master, counts = _master_sequence(config), config.stored_counts
+    marks = _marks(master, config.shape)  # the prefix pass's digit strings, dropped before any trial
     marked, columns, prefixes, done = [set() for _ in range(config.shape.n)], [()] * config.shape.n, {}, 0
     for size in sorted(set(counts)):
-        for rows, column in zip(marked, zip(*master[done:size])):
+        for rows, column in zip(marked, zip(*marks[done:size])):
             rows.update(column)
         done = size
         columns = [old if len(old) == len(rows) else tuple(sorted(rows)) for old, rows in zip(columns, marked)]
@@ -181,14 +186,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         except DomainError as error:  # a result too large to write
             raise ConfigError(*error.args) from None
         prefixes[size] = (relation, contained)
-    points, targets, seen, done = [None] * len(counts), [], set(), 0
+    del marks
+    points, keys, seen, done = [None] * len(counts), [], set(), 0
     for position in sorted(range(len(counts)), key=counts.__getitem__):
         fresh = set(master[done : counts[position]]).difference(seen)
         seen.update(fresh)
-        targets += fresh
-        targets.sort()
+        keys += fresh
+        keys.sort()
         done = counts[position]
-        points[position] = _run_point(config, position, *prefixes[done], targets)
+        points[position] = _run_point(config, position, *prefixes[done], keys)
     return ExperimentReport(tuple(points))
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from itertools import compress
 from typing import Iterable, Literal
 
 from .enumeration import FunctionTable, TableShape, _Record, check_position
@@ -147,53 +148,56 @@ def count_hits(
 
     Equal to ``sum(sample_function(relation, randomness).marks in stored_marks for _ in
     range(trials))``, leaving ``randomness`` in the same state, but drawn column by column for
-    a chunk of trials at once: the sorted stored digit strings that agree with every column
-    drawn so far form one range, which each trial keeps until it is empty. Each column is one
-    batch, one multiply and one carry test, with a scalar redraw only of a rejected lane. A
-    forced column (at most one marked row) is never drawn: every trial picks its one row, or
-    none, so the stored strings without it are dropped first. Substream draws do not depend on
-    evaluation order, so neither skipping them nor the order changes an outcome.
+    a chunk of trials at once, on the keys of the stored functions that sampling can return.
+    Each column is one batch, one multiply and one carry test, with a scalar redraw only of a
+    rejected lane. A forced column (at most one marked row) is never drawn: every trial picks
+    its one row, or none. Substream draws do not depend on evaluation order, so neither
+    skipping them nor the order changes an outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
     stored = tuple(stored)
     _check_shapes(relation.shape, *(table.shape for table in stored))
-    return _count_sorted_hits(relation, sorted(table.marks for table in stored), trials, randomness)
+    keys = {  # of the functions sampling can return: each mark in its column's rows, or 0 in an empty column
+        sum(max(row - 1, 0) * relation.shape.m**power for power, row in enumerate(reversed(table.marks)))
+        for table in stored
+        if all(_marked(rows, row) or not (rows or row) for rows, row in zip(relation.columns, table.marks))
+    }
+    return _count_sorted_hits(relation, sorted(keys), trials, randomness)
 
 
 def _count_sorted_hits(
-    relation: RelationTable | FunctionTable, targets: list[tuple[int, ...]],
-    trials: int, randomness: random.Random,
+    relation: RelationTable | FunctionTable, keys: list[int], trials: int, randomness: random.Random,
 ) -> int:
-    """``count_hits`` on its stored digit strings ``targets``, sorted; nothing is checked.
-
-    Every trial picks a forced column's one row, or no row, so the stored digit strings
-    without those digits are dropped once, before any trial; each column with two or more
-    marked rows is then one ``_column_indices`` draw of the live trials' bases: one salt,
-    one count, one multiply and one carry test, and a scalar redraw of a rejected lane."""
-    forced = [(i, rows[0] if rows else 0) for i, rows in enumerate(relation.columns) if len(rows) < 2]
-    if forced:
-        targets = [marks for marks in targets if all(marks[i] == row for i, row in forced)]
-    columns = [
-        (index, rows, column)
-        for index, (rows, column) in enumerate(zip(relation.columns, zip(*targets)))
-        if len(rows) > 1
-    ]
-    hits = 0
+    """``count_hits`` on sorted ``keys``: functions sampling can return, each its digits less one
+    in base m, first column most significant, an empty column as 0; nothing is checked. At each
+    column of two or more rows a trial adds its pick's offset, row - 1 at the column's weight plus
+    the forced digits since the last drawn column, read off ``keys[0]``, and lives while a key
+    has its prefix; the sentinel m**n ends every bisection on a key. Each column's offsets are
+    built when first reached; at the first one every trial's prefix is the same."""
+    m, n = relation.shape.m, relation.shape.n
+    drawn = [(column, rows) for column, rows in enumerate(relation.columns) if len(rows) > 1]
+    keys, levels, held, hits = [*keys, m**n], [], [], 0
     for start in range(0, trials, _CHUNK):
-        size = min(_CHUNK, trials - start)
-        live = [(randomness.getrandbits(64), 0, len(targets)) for _ in range(size)]
-        for index, rows, column in columns:
-            picks = _column_indices([base for base, _, _ in live], index, len(rows))
-            survivors = []
-            for (base, low, high), row in zip(live, [rows[pick] for pick in picks]):
-                low = bisect_left(column, row, low, high)
-                if low < high and column[low] == row:
-                    survivors.append((base, low, bisect_right(column, row, low, high)))
-            live = survivors
+        live = [randomness.getrandbits(64) for _ in range(min(_CHUNK, trials - start))]
+        for depth, (column, rows) in enumerate(drawn):
+            if depth == len(levels):  # first reached
+                weight = pow(m, n - 1 - column)
+                forced = keys[0] % (levels[-1][0] if levels else keys[-1]) - keys[0] % (weight * m)
+                levels.append((weight, [forced + (row - 1) * weight for row in rows]))
+                held = held or [keys[bisect_left(keys, key)] < key + weight for key in levels[0][1]]
+            weight, offsets = levels[depth]
+            picks = _column_indices([base for base, _ in live] if depth else live, column, len(rows))
+            if depth:
+                live = [
+                    (base, key) for (base, prefix), pick in zip(live, picks)
+                    if keys[bisect_left(keys, key := prefix + offsets[pick])] < key + weight
+                ]
+            else:  # each row was tested once
+                live = list(compress(zip(live, map(offsets.__getitem__, picks)), map(held.__getitem__, picks)))
             if not live:
                 break
-        hits += len(live) if targets else 0
+        hits += len(live) if len(keys) > 1 else 0
     return hits
 
 

@@ -63,6 +63,26 @@ def test_config_validation():
     ExperimentConfig(TableShape(2, 2), (5,), trials=10, seed=0, distinct=False)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"shape": (4, 4)}, "shape (4, 4) is not a TableShape"),
+        ({"shape": "4x4"}, "shape '4x4' is not a TableShape"),
+        ({"shape": None}, "shape None is not a TableShape"),
+        # a truthy or falsy non-bool would silently pick a mode
+        ({"distinct": "no"}, "distinct 'no' is not a bool"),
+        ({"distinct": None}, "distinct None is not a bool"),
+        ({"distinct": 1}, "distinct 1 is not a bool"),
+    ],
+)
+def test_config_refuses_a_shape_or_distinct_of_another_type(overrides, message):
+    with pytest.raises(ConfigError) as refused:
+        _small_config(**overrides)
+    assert str(refused.value) == message
+    # the bools themselves are the two modes
+    assert _small_config(distinct=False).distinct is False
+
+
 def test_the_distinct_bound_needs_no_full_power():
     # 3**(10**7) has ~4.8 million digits; the bit lengths alone show it exceeds S=1
     tracemalloc.start()
@@ -297,7 +317,7 @@ def test_parse_report_rejects_malformed_text():
 
 def test_golden_reports_round_trip():
     paths = sorted((Path(__file__).parent / "golden").glob("sweep_*"))
-    assert len(paths) == 9
+    assert len(paths) == 10
     for path in paths:
         data, format = path.read_bytes(), path.suffix[1:]
         assert emit_report(parse_report(data, format), format) == data
@@ -335,11 +355,9 @@ def test_report_points_are_plain_records():
 
 
 def _scalar_master(config):
-    """The master sequence drawn with one ``uniform_index`` call a draw and
-    decoded digit by digit: the oracle for the batch draws and the halving
-    decode of ``_master_sequence``."""
-    n, m = config.shape.n, config.shape.m
-    total, base = m**n, substream_seed(config.seed, 0)
+    """The master sequence drawn with one ``uniform_index`` call a draw: the
+    oracle for the batch draws of ``_master_sequence``."""
+    total, base = config.shape.m**config.shape.n, substream_seed(config.seed, 0)
     slots, sequence = {}, []
     for i in range(max(config.stored_counts)):
         if config.distinct:
@@ -349,12 +367,17 @@ def _scalar_master(config):
             index = slots[i]
         else:
             index = uniform_index(substream_seed(base, i), total)
-        digits = []
-        for _ in range(n):
-            index, digit = divmod(index, m)
-            digits.append(digit + 1)
-        sequence.append(tuple(reversed(digits)))
+        sequence.append(index)
     return sequence
+
+
+def _scalar_marks(index, shape):
+    """An index decoded digit by digit: the oracle for the halving decode of ``_marks``."""
+    digits = []
+    for _ in range(shape.n):
+        index, digit = divmod(index, shape.m)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
 
 
 @st.composite
@@ -396,6 +419,7 @@ def sweep_configs(draw):
 def test_master_sequence_matches_scalar_shuffle(config):
     master = experiment._master_sequence(config)
     assert master == _scalar_master(config)
+    assert experiment._marks(master, config.shape) == [_scalar_marks(index, config.shape) for index in master]
     if config.distinct:
         assert len(set(master)) == len(master)
 
@@ -421,7 +445,7 @@ def test_master_prefixes_are_uniform_ordered_samples():
     pairs = Counter()
     for seed in range(600):
         master = experiment._master_sequence(ExperimentConfig(shape, (2,), trials=1, seed=seed))
-        pairs[tuple(marks[0] for marks in master)] += 1
+        pairs[tuple(index + 1 for index in master)] += 1
     assert sorted(pairs) == [pair for pair in itertools.product((1, 2, 3), repeat=2) if pair[0] != pair[1]]
     assert all(abs(count / 600 - 1 / 6) <= 0.06 for count in pairs.values())
 
@@ -434,10 +458,10 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
     calls = []
     run_point = experiment._run_point
 
-    def recording(config, position, relation, contained, targets):
-        # the sweep extends one targets list as S grows, so keep a copy
-        calls.append((position, relation, contained, list(targets)))
-        return run_point(config, position, relation, contained, targets)
+    def recording(config, position, relation, contained, keys):
+        # the sweep extends one keys list as S grows, so keep a copy
+        calls.append((position, relation, contained, list(keys)))
+        return run_point(config, position, relation, contained, keys)
 
     with mock.patch.object(experiment, "_run_point", recording):
         report = run_sweep(config)
@@ -446,12 +470,12 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
     assert [position for position, _, _, _ in calls] == sorted(
         range(len(counts)), key=counts.__getitem__
     )
-    for position, relation, contained, targets in calls:
+    for position, relation, contained, keys in calls:
         stored = master[: counts[position]]
-        tables = [FunctionTable(config.shape, marks) for marks in stored]
+        tables = [FunctionTable(config.shape, _scalar_marks(index, config.shape)) for index in stored]
         assert relation == reduce(superpose, tables, RelationTable(config.shape, ((),) * config.shape.n))
         assert contained == count_contained(relation, "total-on-support")
-        assert targets == sorted(set(stored))
+        assert keys == sorted(set(stored))
         assert report.points[position].precision_expected == len(set(stored)) / contained
         assert report.points[position].stored_count == counts[position]
 
@@ -481,7 +505,7 @@ def test_saturated_point_runs_no_trial_loop():
     count_sorted_hits = experiment._count_sorted_hits
 
     def counting(*args):
-        calls.append(len(args[1]))  # the sweep extends one targets list as S grows
+        calls.append(len(args[1]))  # the sweep extends one keys list as S grows
         return count_sorted_hits(*args)
 
     config = ExperimentConfig(TableShape(8, 2), tuple(range(32, 257, 32)), trials=10, seed=1)

@@ -62,6 +62,10 @@ CASES: dict[str, list[str | Path]] = {
         "sweep", "--shape", "8x2", "--counts", "32,64,96,128,160,192,224,256",
         "--trials", "10", "--seed", "1",
     ],
+    # keys up to 10**21, past 2**64: the trial loop's many-limb keys, with hits at every point
+    "sweep_3x10000000_seed3.csv": [
+        "sweep", "--shape", "3x10000000", "--counts", "1,2,3,4,8", "--trials", "2000", "--seed", "3",
+    ],
     "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
     "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
     "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],

@@ -379,6 +379,19 @@ def _over_forced(*stored: tuple[int, ...]) -> tuple[RelationTable, list[Function
     return _FORCED, [FunctionTable(_FORCED.shape, marks) for marks in stored]
 
 
+def _stored_in(columns, *stored: tuple[int, ...]) -> tuple[RelationTable, list[FunctionTable]]:
+    """The relation of ``columns`` (each a column's rows) and the functions of ``stored``."""
+    shape = TableShape(len(columns), max(max(marks) for marks in stored) if stored else 3)
+    return RelationTable(shape, columns), [FunctionTable(shape, marks) for marks in stored]
+
+
+# keys past 2**64: 16**20 = 2**80 and 3**45 > 2**71, drawn columns at both ends
+_WIDE_16 = [(1, 16), *[(5,)] * 9, (2, 9), *[(16,)] * 8, (3, 4)]
+_WIDE_3 = [(1, 3), *[(2,)] * 20, (1, 2, 3), *[(3,)] * 22, (2, 3)]
+# forced columns before, between and after the drawn columns 2 and 4, one of them empty
+_BETWEEN = [(2,), (1, 3), (3,), (1, 2), (1,), ()]
+
+
 @given(stored_sets(), st.integers(min_value=1, max_value=300), st.integers(0, 2**64 - 1))
 @example((RelationTable(_ONE.shape, _ONE.columns), [_ONE]), 300, 5)
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3), 300, 6)
@@ -394,6 +407,19 @@ def _over_forced(*stored: tuple[int, ...]) -> tuple[RelationTable, list[Function
 @example(_over_forced((1, 2, 0, 1), (1, 2, 2, 1), (2, 2, 3, 3)), 600, 4)
 # outside the relation in a drawn column, and the empty function
 @example(_over_forced((1, 2, 0, 2), (0, 0, 0, 0), (3, 2, 0, 3)), 600, 5)
+@example(_stored_in(_WIDE_16, (1, *[5] * 9, 2, *[16] * 8, 3), (16, *[5] * 9, 9, *[16] * 8, 4)), 600, 11)
+@example(_stored_in(_WIDE_16, (16, *[5] * 9, 2, *[16] * 8, 4), (16, *[5] * 9, 9, *[16] * 7, 15, 4)), 600, 12)
+@example(_stored_in(_WIDE_3, (1, *[2] * 20, 1, *[3] * 22, 2), (3, *[2] * 20, 3, *[3] * 22, 3)), 600, 13)
+@example(_stored_in(_WIDE_3, (3, *[2] * 20, 2, *[3] * 22, 2), (1, *[2] * 20, 2, *[3] * 22, 3)), 2049, 14)
+@example(_stored_in(_BETWEEN, (2, 1, 3, 1, 1, 0), (2, 3, 3, 2, 1, 0), (2, 3, 3, 1, 1, 0)), 600, 15)
+# some lack a forced digit before, between or after the drawn columns, or are defined in the empty one
+@example(_stored_in(_BETWEEN, (1, 1, 3, 1, 1, 0), (2, 3, 1, 2, 1, 0), (2, 1, 3, 1, 3, 0)), 600, 16)
+@example(_stored_in(_BETWEEN, (2, 1, 3, 2, 1, 3), (2, 3, 3, 2, 1, 0)), 600, 17)
+# empty columns first and last, partial stored functions defined there or not
+@example(_stored_in([(), (1, 2), (3,), ()], (0, 1, 3, 0), (2, 2, 3, 0), (0, 2, 3, 1), (0, 0, 0, 0)), 600, 18)
+# no stored function, over drawn columns and over forced ones only
+@example(_stored_in(_BETWEEN), 600, 19)
+@example(_stored_in([(2,), ()]), 600, 20)
 @settings(max_examples=150)
 def test_count_hits_matches_repeated_sampling(case, trials, seed):
     relation, stored = case
@@ -413,12 +439,22 @@ def test_count_hits_matches_repeated_sampling(case, trials, seed):
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3), True, 1025, 10)
 @settings(max_examples=150)
 def test_count_hits_is_the_core_on_sorted_distinct_digit_strings(case, empty, trials, seed):
-    # what the sweep passes: digit strings, sorted, each once, maybe none
+    # what the sweep passes: the digit strings sampling can return, each read as its key
+    # (digits less one, an empty column as 0, in base m), sorted, each once, maybe none
     relation, stored = case
     stored = [] if empty else stored
     public, core = random.Random(seed), random.Random(seed)
-    targets = sorted({table.marks for table in stored})
-    hits = _count_sorted_hits(relation, targets, trials, core)
+    sampled = [
+        table.marks for table in stored
+        if all(row in rows if rows else row == 0 for rows, row in zip(relation.columns, table.marks))
+    ]
+    keys = set()
+    for marks in sampled:
+        key = 0
+        for row in marks:  # Horner's rule, the first column most significant
+            key = key * relation.shape.m + max(row - 1, 0)
+        keys.add(key)
+    hits = _count_sorted_hits(relation, sorted(keys), trials, core)
     assert count_hits(relation, stored, trials, public) == hits
     assert public.getstate() == core.getstate()
 
