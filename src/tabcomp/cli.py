@@ -74,13 +74,16 @@ def _counts_argument(text: str) -> tuple[int, ...]:
 
 
 def _read_document(path: str) -> str | bytes:
-    if path == "-":  # bytes from a real standard input, str from a replaced text stream
-        return getattr(sys.stdin, "buffer", sys.stdin).read()
     try:
+        if path == "-":  # bytes from a real standard input, str from a replaced text stream
+            if sys.stdin is None:  # file descriptor 0 was closed when Python started
+                raise OSError("it is closed")
+            return getattr(sys.stdin, "buffer", sys.stdin).read()
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as error:
-        raise ParseError(f"cannot read {path}: {error.strerror or error}") from None
+        source = "standard input" if path == "-" else path
+        raise ParseError(f"cannot read {source}: {error.strerror or error}") from None
 
 
 def _load_table(path: str, function_needed: str | None = None) -> FunctionTable | RelationTable:

@@ -133,7 +133,7 @@ def _master_sequence(config: ExperimentConfig) -> list[int]:
     """
     total, needed = config.shape.m**config.shape.n, max(config.stored_counts)
     counts = range(total, total - needed, -1) if config.distinct else [total] * needed
-    indices = substream_indices([substream_seed(config.seed, 0)] * needed, range(needed), counts)
+    indices = substream_indices(substream_seed(config.seed, 0), counts)
     if config.distinct:
         swapped: dict[int, int] = {}
         for slot, draw in enumerate(indices):

@@ -131,8 +131,7 @@ def sample_function(
     order; per-column choices use multiply-high rejection and are exactly uniform.
     """
     columns = relation.columns
-    bases = [randomness.getrandbits(64)] * len(columns)
-    picks = substream_indices(bases, range(len(columns)), [len(rows) or 1 for rows in columns])
+    picks = substream_indices(randomness.getrandbits(64), [len(rows) or 1 for rows in columns])
     return FunctionTable(
         relation.shape, tuple(rows[pick] if rows else 0 for rows, pick in zip(columns, picks))
     )

@@ -10,15 +10,15 @@ gives the index ``W * count >> 64k`` and is redrawn only while the product's low
 64k bits are below ``2**64k % count``, so every index is reached by the same number of
 words and the draw is exactly uniform.
 
-The batch form ``substream_indices``, and the trial loop's column draw of one salt
-and one count, run the finalizer on up to ``_CHUNK`` values at once: value i sits
-in bits 128i..128i+63 of one Python int, and each whole-int step is masked back to
-those low halves. A sum or a product of values below 2**64 stays below 2**128, so
-no carry crosses a lane; a right shift only pulls the next lane's low bits into
-this lane's high half, which the mask clears. One multiply by a count of at most
-2**64 leaves each word's product in its lane, the index in its high half; one carry
-test, 2**64 - threshold added to every low half, carries into bit 64 of each lane
-kept, and only a lane without that carry is redrawn, by the scalar rule.
+The batch form ``substream_indices`` (salts 0..k-1 of one base) and the trial loop's
+column draw (many bases, one salt, one count) run the finalizer on up to ``_CHUNK``
+values at once: value i sits in bits 128i..128i+63 of one Python int, and each
+whole-int step is masked back to those low halves. A sum or a product of values below
+2**64 stays below 2**128, so no carry crosses a lane; a right shift only pulls the
+next lane's low bits into this lane's high half, which the mask clears. One multiply
+by a count of at most 2**64 leaves each word's product in its lane, the index in its
+high half; one carry test, 2**64 - threshold added to every low half, carries into bit
+64 of each lane kept, and only a lane without it is redrawn, by the scalar rule.
 """
 
 from __future__ import annotations
@@ -71,11 +71,8 @@ def uniform_index(seed: int, count: int) -> int:
             return product >> width
 
 
-def _lanes(values: Sequence[int], ones: int) -> int:
-    """The values, each below 2**64, in the low halves of consecutive 128-bit lanes, each
-    1 in ``ones``; a value in all is ``ones`` times it (ends compared first: no scan)."""
-    if values[0] == values[-1] and values.count(values[0]) == len(values):
-        return ones * values[0]
+def _lanes(values: Sequence[int]) -> int:
+    """The values, each below 2**64, in the low halves of consecutive 128-bit lanes."""
     words = array("Q", bytes(16 * len(values)))
     words[_LOW::2] = array("Q", values)
     return int.from_bytes(words, sys.byteorder)
@@ -101,36 +98,34 @@ def _scaled(words: int, count: int, ones: int, lanes: int, seed: Callable[[int],
 
 
 def _column_indices(bases: Sequence[int], salt: int, count: int) -> Sequence[int]:
-    """``substream_indices`` of at most ``_CHUNK`` bases, one salt and one count <= 2**64."""
+    """``uniform_index(substream_seed(base, salt), count)`` for at most ``_CHUNK`` bases; count <= 2**64."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * len(bases), "little")
     lanes, offset = ones * _MASK64, ones * ((salt + 1) * _GAMMA & _MASK64)
-    seeds = _finalize_lanes(_lanes(bases, ones) + offset, lanes) if bases else 0
+    seeds = _finalize_lanes(_lanes(bases) + offset, lanes)
     words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
     return _scaled(words, count, ones, lanes, lambda lane: substream_seed(bases[lane], salt))
 
 
-def substream_indices(bases: Sequence[int], salts: Sequence[int], counts: Sequence[int]) -> list[int]:
-    """``uniform_index(substream_seed(base, salt), count)`` lane by lane; bases, salts < 2**64.
-    A chunk's bases or salts of one value enter by one multiply. One count <= 2**64 in every
-    lane (``--no-distinct``, equal columns) is the column draw's tail: one multiply, one carry
-    test and a scalar redraw only of a rejected lane. The trial loop calls ``_column_indices``."""
+def substream_indices(base: int, counts: Sequence[int]) -> list[int]:
+    """``uniform_index(substream_seed(base, i), counts[i])`` for lane i of ``counts``; base < 2**64.
+    One count <= 2**64 in every lane (``--no-distinct``, equal columns) is the column draw's
+    tail: one multiply, one carry test and a scalar redraw only of a rejected lane. The trial
+    loop calls ``_column_indices``."""
     if len(counts) and min(counts) < 1:
         raise ValueError(f"count must be positive, got {min(counts)}")
     same = len(counts) and counts.count(counts[0]) == len(counts) and counts[0] <= 1 << 64
     result: list[int] = []
     lows: list[int] = []
     thresholds: list[int] = []
-    for start in range(0, len(bases), _CHUNK):
-        chunk, size = slice(start, start + _CHUNK), min(_CHUNK, len(bases) - start)
+    for start in range(0, len(counts), _CHUNK):
+        chunk, size = slice(start, start + _CHUNK), min(_CHUNK, len(counts) - start)
         ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
         lanes = ones * _MASK64
-        offsets = (_lanes(salts[chunk], ones) + ones) * _GAMMA & lanes
-        seeds = _finalize_lanes(_lanes(bases[chunk], ones) + offsets, lanes)
+        offsets = (_lanes(range(start, start + size)) + ones) * _GAMMA & lanes
+        seeds = _finalize_lanes(ones * base + offsets, lanes)
         words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
         if same:
-            result += _scaled(
-                words, counts[0], ones, lanes, lambda i: substream_seed(bases[start + i], salts[start + i])
-            )
+            result += _scaled(words, counts[0], ones, lanes, lambda lane: substream_seed(base, start + lane))
             continue
         words = array("Q", words.to_bytes(16 * size, sys.byteorder))[_LOW::2]
         products = list(map(operator.mul, words, counts[chunk]))
@@ -140,5 +135,5 @@ def substream_indices(bases: Sequence[int], salts: Sequence[int], counts: Sequen
         thresholds += map(operator.mod, repeat(1 << 64), counts[chunk])
     for lane in compress(range(len(lows)), map(operator.lt, lows, thresholds)):
         # the scalar draw rejects the same first word and goes on, or joins words past 2**64
-        result[lane] = uniform_index(substream_seed(bases[lane], salts[lane]), counts[lane])
+        result[lane] = uniform_index(substream_seed(base, lane), counts[lane])
     return result

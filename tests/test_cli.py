@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import math
 import random
@@ -79,6 +80,21 @@ def test_stdin_without_a_byte_buffer_is_read_as_text(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("table 2 2 function\n\udc80 1\n"))
     message = "error: line 2, column 1: digit '\\udc80' is not a decimal integer\n"
     assert run_cli(capsys, ["encode"]) == (2, "", message)
+
+
+def test_an_unreadable_stdin_exits_2_with_one_line(capsys, monkeypatch):
+    # file descriptor 0 closed at start (`tabcomp encode - <&-`) leaves sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run_cli(capsys, ["encode", "-"]) == (2, "", "error: cannot read standard input: it is closed\n")
+
+    # a write-only descriptor 0 (`tabcomp encode - 0>/dev/null`) fails when read
+    def read():
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(read=read))
+    message = "error: cannot read standard input: Bad file descriptor\n"
+    assert run_cli(capsys, ["encode"]) == (2, "", message)
+    assert run_cli(capsys, ["sample", "-", "--seed", "1"]) == (2, "", message)
 
 
 def test_decode(capsys):

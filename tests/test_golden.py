@@ -31,6 +31,7 @@ from tabcomp.cli import _COMMANDS, main
 GOLDEN = Path(__file__).parent / "golden"
 
 _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "2000"]
+_SWEEP_6X4 = ["sweep", "--shape", "6x4", "--counts", "500,1100,2100", "--trials", "200", "--seed", "11"]
 
 # the relation commands read one relation document and one function document
 _RELATION = str(GOLDEN / "relation_6x5.doc")
@@ -66,6 +67,10 @@ CASES: dict[str, list[str | Path]] = {
     "sweep_3x10000000_seed3.csv": [
         "sweep", "--shape", "3x10000000", "--counts", "1,2,3,4,8", "--trials", "2000", "--seed", "3",
     ],
+    # masters of 2,100 draws cross the batch draw's 1,024-lane chunks: a count per lane
+    # (distinct) and one count in every lane (repeats)
+    "sweep_6x4_seed11.csv": _SWEEP_6X4,
+    "sweep_6x4_seed11_repeats.csv": _SWEEP_6X4 + ["--no-distinct"],
     "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
     "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
     "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],

@@ -80,31 +80,9 @@ _COUNTS = [1, 2, 3, 1 << 5, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1
 @pytest.mark.parametrize("lanes", [0, 1, 2, streams._CHUNK, streams._CHUNK + 1])
 @pytest.mark.parametrize("count", _COUNTS)
 def test_batch_equals_scalar_lane_by_lane(lanes, count):
-    fuzz = random.Random(lanes * 7 + count.bit_length())
-    bases = [fuzz.getrandbits(64) for _ in range(lanes)]
-    salts = [fuzz.getrandbits(fuzz.choice([3, 64])) for _ in range(lanes)]
-    expected = [uniform_index(substream_seed(base, salt), count) for base, salt in zip(bases, salts)]
-    assert substream_indices(bases, salts, [count] * lanes) == expected
-
-
-_VARYING = [3, 1 << 40, 5, 0]
-
-
-@pytest.mark.parametrize(
-    "bases, salts",
-    [
-        ([7] * 80, _VARYING * 20),  # constant bases
-        (_VARYING * 20, [2] * 80),  # constant salts
-        ([7] * 80, [2] * 80),  # both
-        ([9] * 10, [(1 << 64) - 1] * 10),  # the largest salt
-        ([5] * streams._CHUNK + [6], [0] * streams._CHUNK + [1]),  # constant in the first chunk only
-        ([5, 6, 5], [5, 6, 5]),  # equal ends, not constant
-    ],
-)
-@pytest.mark.parametrize("count", [1, 3, (1 << 63) + 1, 1 << 64, (1 << 64) + 1])
-def test_constant_lanes_equal_the_scalar_draw(bases, salts, count):
-    expected = [uniform_index(substream_seed(base, salt), count) for base, salt in zip(bases, salts)]
-    assert substream_indices(bases, salts, [count] * len(bases)) == expected
+    base = random.Random(lanes * 7 + count.bit_length()).getrandbits(64)
+    expected = [uniform_index(substream_seed(base, salt), count) for salt in range(lanes)]
+    assert substream_indices(base, [count] * lanes) == expected
 
 
 def _first_word_rejected(base: int, salt: int, count: int) -> bool:
@@ -157,17 +135,17 @@ def test_column_draw_is_the_scalar_draw(bases, salt, count):
 
 
 def test_batch_lanes_keep_their_own_counts():
-    # mixed counts in one chunk, salts as a range, as the master sequence draws
+    # mixed counts, as the distinct master sequence draws; 2,100 lanes cross two chunks
     fuzz = random.Random(3)
-    counts = [fuzz.choice(_COUNTS) for _ in range(300)]
-    bases = [fuzz.getrandbits(64)] * len(counts)
-    expected = [uniform_index(substream_seed(bases[0], salt), count) for salt, count in enumerate(counts)]
-    assert substream_indices(bases, range(len(counts)), counts) == expected
+    for lanes in (300, 2100):
+        counts, base = [fuzz.choice(_COUNTS) for _ in range(lanes)], fuzz.getrandbits(64)
+        expected = [uniform_index(substream_seed(base, salt), count) for salt, count in enumerate(counts)]
+        assert substream_indices(base, counts) == expected
 
 
 def test_batch_rejects_a_count_below_one_like_the_scalar_draw():
     with pytest.raises(ValueError):
-        substream_indices([1, 2], [0, 0], [3, 0])
+        substream_indices(1, [3, 0])
     for count in (0, -1):
         with pytest.raises(ValueError):
             uniform_index(1, count)
@@ -180,7 +158,7 @@ _CHI2_TAIL = {3: 13.82, 11: 29.59}
 @pytest.mark.parametrize("count", sorted(_CHI2_TAIL))
 def test_batch_draws_fill_every_bucket_evenly(count):
     lanes = 1000 * count
-    draws = Counter(substream_indices([12345] * lanes, range(lanes), [count] * lanes))
+    draws = Counter(substream_indices(12345, [count] * lanes))
     assert sorted(draws) == list(range(count))
     chi2 = sum((observed - 1000) ** 2 / 1000 for observed in draws.values())
     assert chi2 < _CHI2_TAIL[count]
