@@ -1,14 +1,15 @@
 """Command-line front end: one subcommand per library operation.
 
 Documents are read from file arguments or standard input ('-'), results go to
-standard output. Exit status is 0 on success, 1 on a domain or validation
-error, 2 on malformed input (bad documents, unreadable files, usage errors).
+standard output. Exit status is 0 on success, 1 on a domain or validation error,
+2 on malformed input (bad documents, unreadable files, usage errors) or unwritable output.
 Stochastic subcommands take a mandatory --seed so every run is reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from functools import cache, reduce
@@ -283,9 +284,17 @@ def main(argv: list[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         args.handler(args)
+        if sys.stdout is None:  # file descriptor 1 was closed when Python started
+            raise OSError("it is closed")
+        sys.stdout.flush()  # a write that fails fails here, not at shutdown
     except ValueError as error:  # every library error; ParseError is malformed input
         print(f"error: {error}", file=sys.stderr)
         return 2 if isinstance(error, ParseError) else 1
+    except OSError as error:  # a full device or a closed pipe: the handlers read no other stream
+        print(f"error: cannot write standard output: {error.strerror or error}", file=sys.stderr)
+        if hasattr(sys.stdout, "fileno"):  # the text still buffered goes to devnull at shutdown, not to a second failure
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0
 
 

@@ -10,15 +10,17 @@ gives the index ``W * count >> 64k`` and is redrawn only while the product's low
 64k bits are below ``2**64k % count``, so every index is reached by the same number of
 words and the draw is exactly uniform.
 
-The batch form ``substream_indices`` (salts 0..k-1 of one base) and the trial loop's
-column draw (many bases, one salt, one count) run the finalizer on up to ``_CHUNK``
-values at once: value i sits in bits 128i..128i+63 of one Python int, and each
-whole-int step is masked back to those low halves. A sum or a product of values below
-2**64 stays below 2**128, so no carry crosses a lane; a right shift only pulls the
-next lane's low bits into this lane's high half, which the mask clears. One multiply
-by a count of at most 2**64 leaves each word's product in its lane, the index in its
-high half; one carry test, 2**64 - threshold added to every low half, carries into bit
-64 of each lane kept, and only a lane without it is redrawn, by the scalar rule.
+Every batch draw runs through one kernel, ``_draws``: lane i's state is
+``values[i] * step + offset``, and up to ``_CHUNK`` lanes are finalized at once. Value i
+sits in bits 128i..128i+63 of one Python int, and each whole-int step is masked back to
+those low halves. With values, step and offset below 2**64, a lane's state stays below
+2**128, so no carry crosses a lane; a right shift only pulls the next lane's low bits
+into this lane's high half, which the mask clears. The batch form ``substream_indices``
+(salts 0..k-1 of one base) and the trial loop's column draw (many bases, one salt, one
+count) are its two callers. One count of at most 2**64 takes one multiply, each word's
+product in its lane and the index in its high half, and one carry test: 2**64 - threshold
+added to every low half carries into bit 64 of each lane kept. One count a lane takes a
+product a lane. Either way only a rejected lane is redrawn, by the scalar rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import operator
 import sys
 from array import array
 from itertools import compress, repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,13 +73,6 @@ def uniform_index(seed: int, count: int) -> int:
             return product >> width
 
 
-def _lanes(values: Sequence[int]) -> int:
-    """The values, each below 2**64, in the low halves of consecutive 128-bit lanes."""
-    words = array("Q", bytes(16 * len(values)))
-    words[_LOW::2] = array("Q", values)
-    return int.from_bytes(words, sys.byteorder)
-
-
 def _finalize_lanes(z: int, lanes: int) -> int:
     """``_finalize`` of every lane of ``z`` mod 2**64; ``lanes`` sets each lane's low half."""
     z &= lanes
@@ -86,54 +81,51 @@ def _finalize_lanes(z: int, lanes: int) -> int:
     return (z ^ (z >> 31)) & lanes
 
 
-def _scaled(words: int, count: int, ones: int, lanes: int, seed: Callable[[int], int]) -> Sequence[int]:
-    """Each lane's ``W * count >> 64``, count <= 2**64; a rejected lane is redrawn from ``seed(lane)``."""
-    product, threshold = words * count, (1 << 64) % count
-    halves = array("Q", product.to_bytes(16 * ((ones.bit_length() + 127) // 128), sys.byteorder))
-    result = halves[1 - _LOW :: 2]
-    if (product & lanes) + ones * ((1 << 64) - threshold) >> 64 & ones != ones:
-        for lane in compress(range(len(result)), map(operator.lt, halves[_LOW::2], repeat(threshold))):
-            result[lane] = uniform_index(seed(lane), count)  # rejects the same first word, goes on
+def _draws(values: Sequence[int], step: int, offset: int, counts: int | Sequence[int]) -> Sequence[int]:
+    """``uniform_index(_finalize((v * step + offset) mod 2**64), count)`` for each of at most
+    ``_CHUNK`` values v, with v, step and offset below 2**64; ``counts`` is one count <= 2**64
+    or one count a lane."""
+    size = len(values)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
+    lanes, packed = ones * _MASK64, array("Q", bytes(16 * size))
+    packed[_LOW::2] = array("Q", values)
+    seeds = _finalize_lanes(int.from_bytes(packed, sys.byteorder) * step + ones * offset, lanes)
+    words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
+    if isinstance(counts, int):
+        product, threshold = words * counts, (1 << 64) % counts
+        halves = array("Q", product.to_bytes(16 * size, sys.byteorder))
+        result = halves[1 - _LOW :: 2]
+        if (product & lanes) + ones * ((1 << 64) - threshold) >> 64 & ones == ones:
+            return result
+        lows, thresholds, counts = halves[_LOW::2], repeat(threshold), [counts] * size
+    else:
+        words = array("Q", words.to_bytes(16 * size, sys.byteorder))[_LOW::2]
+        products = list(map(operator.mul, words, counts))
+        result = list(map(operator.rshift, products, repeat(64)))
+        lows = map(operator.and_, products, repeat(_MASK64))
+        # a count above 2**64 has threshold 2**64, above every low half: the scalar draw takes it
+        thresholds = map(operator.mod, repeat(1 << 64), counts)
+    for lane in compress(range(size), map(operator.lt, lows, thresholds)):
+        # the scalar draw rejects the same first word and goes on, or joins words past 2**64
+        result[lane] = uniform_index(_finalize((values[lane] * step + offset) & _MASK64), counts[lane])
     return result
 
 
 def _column_indices(bases: Sequence[int], salt: int, count: int) -> Sequence[int]:
     """``uniform_index(substream_seed(base, salt), count)`` for at most ``_CHUNK`` bases; count <= 2**64."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * len(bases), "little")
-    lanes, offset = ones * _MASK64, ones * ((salt + 1) * _GAMMA & _MASK64)
-    seeds = _finalize_lanes(_lanes(bases) + offset, lanes)
-    words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
-    return _scaled(words, count, ones, lanes, lambda lane: substream_seed(bases[lane], salt))
+    return _draws(bases, 1, (salt + 1) * _GAMMA & _MASK64, count)
 
 
 def substream_indices(base: int, counts: Sequence[int]) -> list[int]:
-    """``uniform_index(substream_seed(base, i), counts[i])`` for lane i of ``counts``; base < 2**64.
-    One count <= 2**64 in every lane (``--no-distinct``, equal columns) is the column draw's
-    tail: one multiply, one carry test and a scalar redraw only of a rejected lane. The trial
-    loop calls ``_column_indices``."""
+    """``uniform_index(substream_seed(base, i), counts[i])`` for lane i of ``counts``.
+    One count <= 2**64 in every lane (``--no-distinct``, equal columns) takes the kernel's
+    one-count tail. The trial loop calls ``_column_indices``."""
     if len(counts) and min(counts) < 1:
         raise ValueError(f"count must be positive, got {min(counts)}")
     same = len(counts) and counts.count(counts[0]) == len(counts) and counts[0] <= 1 << 64
-    result: list[int] = []
-    lows: list[int] = []
-    thresholds: list[int] = []
+    # lane i's state is base + (i + 1) * _GAMMA, as substream_seed(base, i) builds it
+    multiples, result = range(1, len(counts) + 1), []
     for start in range(0, len(counts), _CHUNK):
-        chunk, size = slice(start, start + _CHUNK), min(_CHUNK, len(counts) - start)
-        ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
-        lanes = ones * _MASK64
-        offsets = (_lanes(range(start, start + size)) + ones) * _GAMMA & lanes
-        seeds = _finalize_lanes(ones * base + offsets, lanes)
-        words = _finalize_lanes(seeds + ones * _GAMMA, lanes)
-        if same:
-            result += _scaled(words, counts[0], ones, lanes, lambda lane: substream_seed(base, start + lane))
-            continue
-        words = array("Q", words.to_bytes(16 * size, sys.byteorder))[_LOW::2]
-        products = list(map(operator.mul, words, counts[chunk]))
-        result += map(operator.rshift, products, repeat(64))
-        lows += map(operator.and_, products, repeat(_MASK64))
-        # a count above 2**64 has threshold 2**64, above every low half: the scalar draw takes it
-        thresholds += map(operator.mod, repeat(1 << 64), counts[chunk])
-    for lane in compress(range(len(lows)), map(operator.lt, lows, thresholds)):
-        # the scalar draw rejects the same first word and goes on, or joins words past 2**64
-        result[lane] = uniform_index(substream_seed(base, lane), counts[lane])
+        chunk = slice(start, start + _CHUNK)
+        result += _draws(multiples[chunk], _GAMMA, base & _MASK64, counts[0] if same else counts[chunk])
     return result

@@ -6,7 +6,9 @@ import contextlib
 import errno
 import io
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -95,6 +97,48 @@ def test_an_unreadable_stdin_exits_2_with_one_line(capsys, monkeypatch):
     message = "error: cannot read standard input: Bad file descriptor\n"
     assert run_cli(capsys, ["encode"]) == (2, "", message)
     assert run_cli(capsys, ["sample", "-", "--seed", "1"]) == (2, "", message)
+
+
+def test_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch):
+    def fail(error):
+        def raise_(*_):
+            raise error
+        return raise_
+
+    # a full device (`tabcomp number ... >/dev/full`) refuses the write itself
+    full = OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=fail(full), flush=lambda: None))
+    message = "error: cannot write standard output: No space left on device\n"
+    assert run_cli(capsys, ["number", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
+
+    # a closed pipe (`tabcomp decode ... | true`) refuses the buffered text when it is flushed
+    closed = BrokenPipeError(errno.EPIPE, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=len, flush=fail(closed)))
+    message = "error: cannot write standard output: Broken pipe\n"
+    assert run_cli(capsys, ["decode", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
+
+    # file descriptor 1 closed when Python started (`tabcomp number ... >&-`): sys.stdout is None
+    monkeypatch.setattr(sys, "stdout", None)
+    message = "error: cannot write standard output: it is closed\n"
+    assert run_cli(capsys, ["number", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_real_unwritable_stdout_exits_2_with_one_line():
+    # a fresh interpreter with a buffered stdout: the text a failed flush leaves in the buffer
+    # must not be flushed, and refused, again at shutdown ("Exception ignored ...", status 120)
+    source = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {"PYTHONPATH": source, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a pipe nobody reads: a write to it is EPIPE
+    with open("/dev/full", "wb") as full:
+        for stdout, reason in ((full, "No space left on device"), (write_end, "Broken pipe")):
+            result = subprocess.run(
+                [sys.executable, "-m", "tabcomp.cli", "number", "--shape", "4x7", "--k", "1 2 4 7"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+            assert (result.returncode, result.stderr) == (2, f"error: cannot write standard output: {reason}\n")
+    os.close(write_end)
 
 
 def test_decode(capsys):

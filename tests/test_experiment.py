@@ -317,7 +317,7 @@ def test_parse_report_rejects_malformed_text():
 
 def test_golden_reports_round_trip():
     paths = sorted((Path(__file__).parent / "golden").glob("sweep_*"))
-    assert len(paths) == 12
+    assert len(paths) == 14
     for path in paths:
         data, format = path.read_bytes(), path.suffix[1:]
         assert emit_report(parse_report(data, format), format) == data

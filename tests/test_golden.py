@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "2000"]
 _SWEEP_6X4 = ["sweep", "--shape", "6x4", "--counts", "500,1100,2100", "--trials", "200", "--seed", "11"]
+_SWEEP_20X9 = ["sweep", "--shape", "20x9", "--counts", "1,2,3,4", "--trials", "500", "--seed", "4"]
 
 # the relation commands read one relation document and one function document
 _RELATION = str(GOLDEN / "relation_6x5.doc")
@@ -71,6 +72,10 @@ CASES: dict[str, list[str | Path]] = {
     # (distinct) and one count in every lane (repeats)
     "sweep_6x4_seed11.csv": _SWEEP_6X4,
     "sweep_6x4_seed11_repeats.csv": _SWEEP_6X4 + ["--no-distinct"],
+    # a master of 9**20 ~ 2**63.4 functions rejects about a third of the batch draw's first
+    # words: lanes 0, 1 and 3 (distinct) and lanes 0 and 3 (repeats) are redrawn
+    "sweep_20x9_seed4.csv": _SWEEP_20X9,
+    "sweep_20x9_seed4_repeats.csv": _SWEEP_20X9 + ["--no-distinct"],
     "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
     "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
     "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],

@@ -134,6 +134,22 @@ def test_column_draw_is_the_scalar_draw(bases, salt, count):
     assert list(streams._column_indices(bases, salt, count)) == expected
 
 
+@settings(deadline=None)
+@given(
+    st.integers(),
+    st.one_of(
+        st.tuples(st.integers(1, 1 << 64), st.integers(0, 1100)).map(lambda pair: [pair[0]] * pair[1]),
+        st.lists(st.integers(1, 1 << 200), max_size=1100),
+    ),
+)
+# about half the lanes rejected, across the chunk boundary; the largest base the mask keeps
+@example(0, [(1 << 63) + 1] * 1025)
+@example((1 << 64) - 1, [3, (1 << 63) + 1, 1 << 64, (1 << 64) + 1])
+def test_batch_draw_is_the_scalar_draw(base, counts):
+    expected = [uniform_index(substream_seed(base, i), count) for i, count in enumerate(counts)]
+    assert substream_indices(base, counts) == expected
+
+
 def test_batch_lanes_keep_their_own_counts():
     # mixed counts, as the distinct master sequence draws; 2,100 lanes cross two chunks
     fuzz = random.Random(3)
