@@ -11,10 +11,10 @@ All randomness is derived from the one seed in the config: the master
 sequence from one splitmix64 substream, drawn as one batch of a sparse partial
 Fisher–Yates shuffle, and each point's trials from a substream keyed by point
 position. Points therefore never share generator state, and the report
-depends only on the config. The master sequence stays function indices: a first
-pass decodes them to snapshot the relation at each S and check its contained
-count before any trial runs, a second runs the points in order of S on the
-sorted distinct indices stored so far. Trials are counted column by column,
+depends only on the config. The master sequence stays keys (see ``relations``):
+a first pass decodes them to snapshot the relation at each S and check its
+contained count before any trial runs, a second runs the points in order of S
+on the sorted distinct keys stored so far. Trials are counted column by column,
 drawn as ``sample_function`` draws but skipping draws that cannot change the
 count; a saturated point, every contained function stored, draws none.
 """
@@ -25,14 +25,14 @@ import json
 import operator
 import random
 from dataclasses import dataclass, fields
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Literal
 
 from . import _EXPERIMENT as __all__  # one list: the package names these without loading this module
 from .documents import decimal_value
 from .enumeration import TableShape
 from .errors import ConfigError, DomainError, ParseError, _checked_seed
-from .relations import RelationTable, _count_sorted_hits, _sorted_relation, count_contained, entropy
+from .relations import RelationTable, _count_sorted_hits, _marks, _sorted_relation, count_contained, entropy
 from .streams import substream_indices, substream_seed
 
 ReportFormat = Literal["csv", "json"]
@@ -95,41 +95,15 @@ class ExperimentReport:
         object.__setattr__(self, "points", tuple(self.points))
 
 
-def _marks(indices: list[int], shape: TableShape) -> list[tuple[int, ...]]:
-    """Each index's n base-m digits plus one, most significant first: each level
-    halves every piece at ``m ** size`` (sub-quadratic in n) down to ``width``
-    digits, read off a table of at most 1024, or as itself when one digit. When
-    ``width == n`` each index is one table entry, returned as it is."""
-    n, m, width = shape.n, shape.m, 1
-    while width < n and m ** (width + 1) <= 1024:
-        width += 1
-    span = width
-    while span < n:
-        span *= 2
-    pieces, size = indices, span
-    while size > width:
-        size //= 2
-        power = m**size
-        pieces = [part for piece in pieces for part in divmod(piece, power)]
-    if width == 1:
-        digits = [piece + 1 for piece in pieces]
-    else:
-        table = list(product(range(1, m + 1), repeat=width))
-        if width == n:
-            return list(map(table.__getitem__, pieces))
-        digits = list(chain.from_iterable(map(table.__getitem__, pieces)))
-    return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
-
-
 def _master_sequence(config: ExperimentConfig) -> list[int]:
-    """The stored functions' indices, drawn up-front; point S uses the first S.
+    """The stored functions' keys, drawn up-front; point S uses the first S.
 
     Draw i is ``uniform_index(substream_seed(substream_seed(seed, 0), i), count)``
-    over function indices range(N), N = m**n, an index being a function's digits
-    less one in base m, first column most significant. With distinct=True the count
-    is N - i and the draws run a sparse partial Fisher–Yates shuffle, the dict
-    holding only the swapped slots, so every prefix is a uniform sequence without
-    repeats; with distinct=False the count is N and a draw is an index.
+    over range(N), the keys of the N = m**n total functions (see ``relations``).
+    With distinct=True the count is N - i and the draws run a sparse partial
+    Fisher–Yates shuffle, the dict holding only the swapped slots, so every prefix
+    is a uniform sequence without repeats; with distinct=False the count is N and
+    a draw is a key.
     """
     total, needed = config.shape.m**config.shape.n, max(config.stored_counts)
     counts = range(total, total - needed, -1) if config.distinct else [total] * needed
@@ -146,7 +120,7 @@ def _run_point(
     config: ExperimentConfig, position: int, relation: RelationTable, contained: int,
     keys: list[int],
 ) -> SweepPoint:
-    """One point on ``keys``, the distinct stored indices, sorted. Each is a total
+    """One point on ``keys``, the distinct stored keys, sorted. Each is a total
     function in the relation, so no column is empty; when they number
     ``contained`` every sampled function is stored: all trials hit, none is drawn."""
     if len(keys) == contained:

@@ -5,6 +5,9 @@ A relation table may mark any set of cells; column i carries v_i marks,
 ``columns``: each column's marked rows, strictly ascending, what a document
 lists and what sampling indexes. Memory is linear in the number of marks
 whatever m is; containment is a bisection and superposition a sorted union.
+A stored function's key is one int, its rows less one read as n base-m digits,
+first column most significant, an empty column as 0: ``count_hits`` encodes it,
+``_marks`` decodes it, and ``_count_sorted_hits`` counts hits on sorted keys.
 
 Evaluating a relation at an argument picks one of that column's marked rows
 uniformly at random, from the same splitmix64 substream that column uses in
@@ -19,7 +22,8 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from itertools import compress
+from functools import reduce
+from itertools import chain, compress, product
 from typing import Iterable, Literal
 
 from .enumeration import FunctionTable, TableShape, _Record, check_position
@@ -147,18 +151,17 @@ def count_hits(
 
     Equal to ``sum(sample_function(relation, randomness).marks in stored_marks for _ in
     range(trials))``, leaving ``randomness`` in the same state, but drawn column by column for
-    a chunk of trials at once, on the keys of the stored functions that sampling can return.
-    Each column is one batch, one multiply and one carry test, with a scalar redraw only of a
-    rejected lane. A forced column (at most one marked row) is never drawn: every trial picks
-    its one row, or none. Substream draws do not depend on evaluation order, so neither
-    skipping them nor the order changes an outcome.
+    a chunk of trials at once, on the keys of the stored functions that sampling can return,
+    each column one batch draw. A forced column (at most one marked row) is never drawn: every
+    trial picks its one row, or none. Substream draws do not depend on evaluation order, so
+    neither skipping them nor the order changes an outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
     stored = tuple(stored)
     _check_shapes(relation.shape, *(table.shape for table in stored))
     keys = {  # of the functions sampling can return: each mark in its column's rows, or 0 in an empty column
-        sum(max(row - 1, 0) * relation.shape.m**power for power, row in enumerate(reversed(table.marks)))
+        reduce(lambda key, row: key * relation.shape.m + max(row - 1, 0), table.marks, 0)
         for table in stored
         if all(_marked(rows, row) or not (rows or row) for rows, row in zip(relation.columns, table.marks))
     }
@@ -168,8 +171,7 @@ def count_hits(
 def _count_sorted_hits(
     relation: RelationTable | FunctionTable, keys: list[int], trials: int, randomness: random.Random,
 ) -> int:
-    """``count_hits`` on sorted ``keys``: functions sampling can return, each its digits less one
-    in base m, first column most significant, an empty column as 0; nothing is checked. At each
+    """``count_hits`` on the sorted ``keys`` of functions sampling can return, unchecked. At each
     column of two or more rows a trial adds its pick's offset, row - 1 at the column's weight plus
     the forced digits since the last drawn column, read off ``keys[0]``, and lives while a key
     has its prefix; the sentinel m**n ends every bisection on a key. Each column's offsets are
@@ -198,6 +200,31 @@ def _count_sorted_hits(
                 break
         hits += len(live) if len(keys) > 1 else 0
     return hits
+
+
+def _marks(keys: list[int], shape: TableShape) -> list[tuple[int, ...]]:
+    """The rows of the total functions ``keys`` name: each level halves every piece at
+    ``m ** size`` (sub-quadratic in n) down to ``width`` digits, read off a table of at most
+    1024, or as itself when one digit. When ``width == n`` each key is one table entry."""
+    n, m, width = shape.n, shape.m, 1
+    while width < n and m ** (width + 1) <= 1024:
+        width += 1
+    span = width
+    while span < n:
+        span *= 2
+    pieces, size = keys, span
+    while size > width:
+        size //= 2
+        power = m**size
+        pieces = [part for piece in pieces for part in divmod(piece, power)]
+    if width == 1:
+        digits = [piece + 1 for piece in pieces]
+    else:
+        table = list(product(range(1, m + 1), repeat=width))
+        if width == n:
+            return list(map(table.__getitem__, pieces))
+        digits = list(chain.from_iterable(map(table.__getitem__, pieces)))
+    return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
 
 
 def superpose(

@@ -33,6 +33,7 @@ from tabcomp import (
 )
 from tabcomp.cli import main
 from tabcomp.streams import substream_seed, uniform_index
+from test_golden import CASES
 
 
 def _small_config(**overrides):
@@ -316,8 +317,9 @@ def test_parse_report_rejects_malformed_text():
 
 
 def test_golden_reports_round_trip():
+    # every golden sweep file has its case in test_golden, and every sweep case its file
     paths = sorted((Path(__file__).parent / "golden").glob("sweep_*"))
-    assert len(paths) == 14
+    assert [path.name for path in paths] == sorted(name for name in CASES if name.startswith("sweep_"))
     for path in paths:
         data, format = path.read_bytes(), path.suffix[1:]
         assert emit_report(parse_report(data, format), format) == data
