@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per library operation.
 
-Documents are read from file arguments or standard input ('-'), results go to
-standard output. Exit status is 0 on success, 1 on a domain or validation error,
-2 on malformed input (bad documents, unreadable files, usage errors) or unwritable output.
+Documents are read from file arguments or standard input ('-'). Each command returns its whole
+answer, and ``main`` alone writes it to standard output in one piece, so a command that fails
+writes none. Exit status is 0 on success, 1 on a domain or validation error, 2 on malformed input
+(bad documents, unreadable files, usage errors) or, for every command, unwritable output.
 Stochastic subcommands take a mandatory --seed so every run is reproducible.
 """
 
@@ -101,88 +102,86 @@ def _reject_repeated_stdin(paths: list[str]) -> None:
         raise ParseError("standard input '-' may appear at most once")
 
 
-def _cmd_encode(args: argparse.Namespace) -> None:
+def _cmd_encode(args: argparse.Namespace) -> str:
     table = _load_table(args.file, "encode needs a function document")
-    print(decimal_line(table.digits, table.shape.m))
+    return decimal_line(table.digits, table.shape.m) + "\n"
 
 
-def _cmd_decode(args: argparse.Namespace) -> None:
+def _cmd_decode(args: argparse.Namespace) -> str:
     table = FunctionTable(TableShape(*args.shape), args.k)
-    sys.stdout.write(serialize_table_document(TableDocument(table)))
+    return serialize_table_document(TableDocument(table))
 
 
-def _cmd_number(args: argparse.Namespace) -> None:
-    print(function_number(FunctionTable(TableShape(*args.shape), args.k)))
+def _cmd_number(args: argparse.Namespace) -> str:
+    return f"{function_number(FunctionTable(TableShape(*args.shape), args.k))}\n"
 
 
-def _cmd_unnumber(args: argparse.Namespace) -> None:
+def _cmd_unnumber(args: argparse.Namespace) -> str:
     index = function_from_number(args.number)
-    print(f"shape {index.shape}")
-    print("k " + decimal_line(index.digits, index.shape.m))
+    return f"shape {index.shape}\nk {decimal_line(index.digits, index.shape.m)}\n"
 
 
-def _cmd_shape(args: argparse.Namespace) -> None:
-    print(table_shape(args.number))
+def _cmd_shape(args: argparse.Namespace) -> str:
+    return f"{table_shape(args.number)}\n"
 
 
-def _cmd_count(args: argparse.Namespace) -> None:
+def _cmd_count(args: argparse.Namespace) -> str:
     shape = TableShape(*args.shape)
     check_result_digits(shape.m + 1, shape.n)
-    print(count_functions(shape))
+    return f"{count_functions(shape)}\n"
 
 
-def _cmd_eval(args: argparse.Namespace) -> None:
+def _cmd_eval(args: argparse.Namespace) -> str:
     table = _load_table(args.file, "eval needs a function document; use sample for relations")
     value = evaluate(table, args.arg)
-    print("undefined" if value is None else value)
+    return "undefined\n" if value is None else f"{value}\n"
 
 
-def _cmd_inverse(args: argparse.Namespace) -> None:
+def _cmd_inverse(args: argparse.Namespace) -> str:
     table = _load_table(args.file)
     columns = inverse_evaluate_relation(table, args.value)
-    print(decimal_line(columns, table.shape.n))
+    return decimal_line(columns, table.shape.n) + "\n"
 
 
-def _cmd_entropy(args: argparse.Namespace) -> None:
+def _cmd_entropy(args: argparse.Namespace) -> str:
     table = _load_table(args.file)
-    print(repr(entropy(table)))
+    return f"{entropy(table)!r}\n"
 
 
-def _cmd_superpose(args: argparse.Namespace) -> None:
+def _cmd_superpose(args: argparse.Namespace) -> str:
     if len(args.files) < 2:
         raise ParseError("superpose needs at least two documents")
     _reject_repeated_stdin(args.files)
     tables = [_load_table(path) for path in args.files]
     combined = reduce(superpose, tables)
-    sys.stdout.write(serialize_table_document(TableDocument(combined)))
+    return serialize_table_document(TableDocument(combined))
 
 
-def _cmd_contains(args: argparse.Namespace) -> None:
+def _cmd_contains(args: argparse.Namespace) -> str:
     _reject_repeated_stdin([args.relation, args.function])
     relation = _load_table(args.relation)
     function = _load_table(args.function, "second document must be a function")
-    held = contains(relation, function)
-    print("true" if held else "false")
+    return "true\n" if contains(relation, function) else "false\n"
 
 
-def _cmd_contained_count(args: argparse.Namespace) -> None:
+def _cmd_contained_count(args: argparse.Namespace) -> str:
     table = _load_table(args.file)
-    print(count_contained(table, args.mode))
+    return f"{count_contained(table, args.mode)}\n"
 
 
-def _cmd_sample(args: argparse.Namespace) -> None:
+def _cmd_sample(args: argparse.Namespace) -> str:
     table = sample_function(_load_table(args.file), random.Random(_checked_seed(args.seed)))
-    sys.stdout.write(serialize_table_document(TableDocument(table)))
+    return serialize_table_document(TableDocument(table))
 
 
-def _cmd_antidiag(args: argparse.Namespace) -> None:
+def _cmd_antidiag(args: argparse.Namespace) -> str:
     shape = TableShape(*args.shape)
     functions = [FunctionTable(shape, digits) for digits in args.k]
     result = anti_diagonal(functions)
-    print(decimal_line(result.digits, shape.m))
+    return decimal_line(result.digits, shape.m) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     from .experiment import ExperimentConfig, emit_report, run_sweep  # only sweep loads json, dataclasses
     config = ExperimentConfig(
         shape=TableShape(*args.shape),
@@ -192,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         distinct=args.distinct,
     )
     report = run_sweep(config, workers=args.workers)
-    sys.stdout.write(emit_report(report, args.format).decode("utf-8"))
+    return emit_report(report, args.format).decode("utf-8")
 
 
 # argument specs shared by several subcommands: (name or flag, add_argument options)
@@ -283,9 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        args.handler(args)
+        output = args.handler(args)  # all of it, before any is written: a failed command writes none
         if sys.stdout is None:  # file descriptor 1 was closed when Python started
             raise OSError("it is closed")
+        sys.stdout.write(output)
         sys.stdout.flush()  # a write that fails fails here, not at shutdown
     except ValueError as error:  # every library error; ParseError is malformed input
         print(f"error: {error}", file=sys.stderr)

@@ -117,10 +117,16 @@ def test_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch):
     message = "error: cannot write standard output: Broken pipe\n"
     assert run_cli(capsys, ["decode", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
 
-    # file descriptor 1 closed when Python started (`tabcomp number ... >&-`): sys.stdout is None
+    # file descriptor 1 closed when Python started (`tabcomp number ... >&-`): sys.stdout is None,
+    # for a one-line answer, a document and a report alike
     monkeypatch.setattr(sys, "stdout", None)
     message = "error: cannot write standard output: it is closed\n"
-    assert run_cli(capsys, ["number", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
+    for argv in (
+        ["number", "--shape", "4x7", "--k", "1 2 4 7"],
+        ["decode", "--shape", "4x7", "--k", "1 2 4 7"],
+        ["sweep", "--shape", "2x2", "--counts", "1,2", "--trials", "4", "--seed", "1"],
+    ):
+        assert run_cli(capsys, argv) == (2, "", message)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
@@ -139,6 +145,13 @@ def test_a_real_unwritable_stdout_exits_2_with_one_line():
             )
             assert (result.returncode, result.stderr) == (2, f"error: cannot write standard output: {reason}\n")
     os.close(write_end)
+    # file descriptor 1 closed (`tabcomp decode ... >&-`): Python starts with sys.stdout None
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh",
+         sys.executable, "-m", "tabcomp.cli", "decode", "--shape", "4x7", "--k", "1 2 4 7"],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (2, "error: cannot write standard output: it is closed\n")
 
 
 def test_decode(capsys):

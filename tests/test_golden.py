@@ -125,10 +125,9 @@ def _help_text() -> str:
 def _help_words(text: str) -> list[str]:
     """Help text as its words, across the versions argparse formats it in.
 
-    Python 3.10 alone appends "(default: True)" to the --distinct help, and
-    versions before 3.10 head the options "optional arguments:".
+    Python 3.10 alone appends "(default: True)" to the --distinct help.
     """
-    return text.replace("optional arguments:", "options:").replace(" (default: True)", "").split()
+    return text.replace(" (default: True)", "").split()
 
 
 def pytest_generate_tests(metafunc):
