@@ -78,7 +78,7 @@ def _counts_argument(text: str) -> tuple[int, ...]:
 def _read_document(path: str) -> str | bytes:
     try:
         if path == "-":  # bytes from a real standard input, str from a replaced text stream
-            if sys.stdin is None:  # file descriptor 0 was closed when Python started
+            if sys.stdin is None or getattr(sys.stdin, "closed", False):  # fd 0 closed at start, or stdin closed
                 raise OSError("it is closed")
             return getattr(sys.stdin, "buffer", sys.stdin).read()
         with open(path, "rb") as handle:
@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         output = args.handler(args)  # all of it, before any is written: a failed command writes none
-        if sys.stdout is None:  # file descriptor 1 was closed when Python started
+        if sys.stdout is None or getattr(sys.stdout, "closed", False):  # fd 1 closed at start, or stdout closed
             raise OSError("it is closed")
         sys.stdout.write(output)
         sys.stdout.flush()  # a write that fails fails here, not at shutdown
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(error, ParseError) else 1
     except OSError as error:  # a full device or a closed pipe: the handlers read no other stream
         print(f"error: cannot write standard output: {error.strerror or error}", file=sys.stderr)
-        if hasattr(sys.stdout, "fileno"):  # the text still buffered goes to devnull at shutdown, not to a second failure
+        if hasattr(sys.stdout, "fileno") and not sys.stdout.closed:  # buffered text goes to devnull, not a second failure
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0

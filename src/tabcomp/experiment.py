@@ -147,11 +147,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"workers {workers!r} is not a positive integer")
     master, counts = _master_sequence(config), config.stored_counts
-    marks = _marks(master, config.shape)  # the prefix pass's digit strings, dropped before any trial
+    marks = _marks(master, config.shape)  # the prefix pass's rows, column by column, dropped before any trial
     marked, columns, prefixes, done = [set() for _ in range(config.shape.n)], [()] * config.shape.n, {}, 0
     for size in sorted(set(counts)):
-        for rows, column in zip(marked, zip(*marks[done:size])):
-            rows.update(column)
+        for rows, column in zip(marked, marks):
+            rows.update(column[done:size])
         done = size
         columns = [old if len(old) == len(rows) else tuple(sorted(rows)) for old, rows in zip(columns, marked)]
         relation = _sorted_relation(config.shape, columns)

@@ -23,7 +23,7 @@ import operator
 import random
 from bisect import bisect_left
 from functools import reduce
-from itertools import chain, compress, product
+from itertools import compress, product
 from typing import Iterable, Literal
 
 from .enumeration import FunctionTable, TableShape, _Record, check_position
@@ -202,10 +202,10 @@ def _count_sorted_hits(
     return hits
 
 
-def _marks(keys: list[int], shape: TableShape) -> list[tuple[int, ...]]:
-    """The rows of the total functions ``keys`` name: each level halves every piece at
-    ``m ** size`` (sub-quadratic in n) down to ``width`` digits, read off a table of at most
-    1024, or as itself when one digit. When ``width == n`` each key is one table entry."""
+def _marks(keys: list[int], shape: TableShape) -> list[list[int]]:
+    """The rows of the total functions ``keys`` name, one list a column: each level halves
+    every piece at ``m ** size`` (sub-quadratic in n) down to ``width`` digits, read off a table
+    of at most 1024, or as itself when one digit; a key's last n of span digits are its rows."""
     n, m, width = shape.n, shape.m, 1
     while width < n and m ** (width + 1) <= 1024:
         width += 1
@@ -221,10 +221,8 @@ def _marks(keys: list[int], shape: TableShape) -> list[tuple[int, ...]]:
         digits = [piece + 1 for piece in pieces]
     else:
         table = list(product(range(1, m + 1), repeat=width))
-        if width == n:
-            return list(map(table.__getitem__, pieces))
-        digits = list(chain.from_iterable(map(table.__getitem__, pieces)))
-    return [tuple(digits[end - n : end]) for end in range(span, len(digits) + 1, span)]
+        digits = reduce(operator.iconcat, map(table.__getitem__, pieces), [])
+    return [digits[c::span] for c in range(span - n, span)]
 
 
 def superpose(

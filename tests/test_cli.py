@@ -89,6 +89,12 @@ def test_an_unreadable_stdin_exits_2_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", None)
     assert run_cli(capsys, ["encode", "-"]) == (2, "", "error: cannot read standard input: it is closed\n")
 
+    # a standard input object closed in this process (`sys.stdin.close()`) is refused alike
+    closed = io.StringIO("function 1x1\n1\n")
+    closed.close()
+    monkeypatch.setattr(sys, "stdin", closed)
+    assert run_cli(capsys, ["encode", "-"]) == (2, "", "error: cannot read standard input: it is closed\n")
+
     # a write-only descriptor 0 (`tabcomp encode - 0>/dev/null`) fails when read
     def read():
         raise OSError(errno.EBADF, "Bad file descriptor")
@@ -128,6 +134,12 @@ def test_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch):
     ):
         assert run_cli(capsys, argv) == (2, "", message)
 
+    # a standard output object closed in this process (`sys.stdout.close()`) is refused alike
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert run_cli(capsys, ["number", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
 def test_a_real_unwritable_stdout_exits_2_with_one_line():
@@ -152,6 +164,15 @@ def test_a_real_unwritable_stdout_exits_2_with_one_line():
         stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
     assert (result.returncode, result.stderr) == (2, "error: cannot write standard output: it is closed\n")
+    # sys.stdout closed in the process before main runs: nothing is flushed to it at shutdown
+    program = 'import sys; from tabcomp import cli; sys.stdout.close(); sys.exit(cli.main(sys.argv[1:]))'
+    result = subprocess.run(
+        [sys.executable, "-c", program, "number", "--shape", "4x7", "--k", "1 2 4 7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: cannot write standard output: it is closed\n"
+    )
 
 
 def test_decode(capsys):

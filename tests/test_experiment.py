@@ -421,7 +421,8 @@ def sweep_configs(draw):
 def test_master_sequence_matches_scalar_shuffle(config):
     master = experiment._master_sequence(config)
     assert master == _scalar_master(config)
-    assert experiment._marks(master, config.shape) == [_scalar_marks(index, config.shape) for index in master]
+    rows = [_scalar_marks(index, config.shape) for index in master]
+    assert experiment._marks(master, config.shape) == [list(column) for column in zip(*rows)]
     if config.distinct:
         assert len(set(master)) == len(master)
 

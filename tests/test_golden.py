@@ -33,6 +33,9 @@ GOLDEN = Path(__file__).parent / "golden"
 _SWEEP_3X3 = ["sweep", "--shape", "3x3", "--counts", "1,2,4,8", "--trials", "2000"]
 _SWEEP_6X4 = ["sweep", "--shape", "6x4", "--counts", "500,1100,2100", "--trials", "200", "--seed", "11"]
 _SWEEP_20X9 = ["sweep", "--shape", "20x9", "--counts", "1,2,3,4", "--trials", "500", "--seed", "4"]
+_SWEEP_3X1000000 = [
+    "sweep", "--shape", "3x1000000", "--counts", "1000,50000,100000", "--trials", "40", "--seed", "8",
+]
 
 # the relation commands read one relation document and one function document
 _RELATION = str(GOLDEN / "relation_6x5.doc")
@@ -76,6 +79,10 @@ CASES: dict[str, list[str | Path]] = {
     # words: lanes 0, 1 and 3 (distinct) and lanes 0 and 3 (repeats) are redrawn
     "sweep_20x9_seed4.csv": _SWEEP_20X9,
     "sweep_20x9_seed4_repeats.csv": _SWEEP_20X9 + ["--no-distinct"],
+    # masters of 100,000 draws of one-digit pieces (width 1, one padding digit): the prefix
+    # pass's columns keep growing with S, past every other golden sweep's 2,100 keys
+    "sweep_3x1000000_seed8.csv": _SWEEP_3X1000000,
+    "sweep_3x1000000_seed8_repeats.csv": _SWEEP_3X1000000 + ["--no-distinct"],
     "sample_seed7.doc": ["sample", _RELATION, "--seed", "7"],
     "superpose_6x5.doc": ["superpose", _RELATION, _FUNCTION],
     "inverse_6x5_value2.txt": ["inverse", _RELATION, "--value", "2"],
