@@ -10,9 +10,11 @@ Stochastic subcommands take a mandatory --seed so every run is reproducible.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import random
 import sys
+from contextlib import redirect_stderr
 from functools import cache, reduce
 
 from . import __version__
@@ -183,13 +185,7 @@ def _cmd_antidiag(args: argparse.Namespace) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from .experiment import ExperimentConfig, emit_report, run_sweep  # only sweep loads json, dataclasses
-    config = ExperimentConfig(
-        shape=TableShape(*args.shape),
-        stored_counts=args.counts,
-        trials=args.trials,
-        seed=args.seed,
-        distinct=args.distinct,
-    )
+    config = ExperimentConfig(TableShape(*args.shape), args.counts, args.trials, args.seed, args.distinct)
     report = run_sweep(config, workers=args.workers)
     return emit_report(report, args.format).decode("utf-8")
 
@@ -277,6 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns 0 on success, 1 on domain errors, 2 on bad input."""
+    if sys.stderr is None or getattr(sys.stderr, "closed", False):  # fd 2 closed at start, or stderr closed
+        with redirect_stderr(io.StringIO()):  # no line can be written: the exit status alone tells
+            return main(argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exit_:

@@ -7,23 +7,23 @@ the probability that one uniformly sampled contained function is one of the S
 stored ones, both in closed form and as an observed frequency over repeated
 trials.
 
-All randomness is derived from the one seed in the config: the master
-sequence from one splitmix64 substream, drawn as one batch of a sparse partial
-Fisher–Yates shuffle, and each point's trials from a substream keyed by point
-position. Points therefore never share generator state, and the report
-depends only on the config. The master sequence stays keys (see ``relations``):
-a first pass decodes them to snapshot the relation at each S and check its
-contained count before any trial runs, a second runs the points in order of S
-on the sorted distinct keys stored so far. Trials are counted column by column,
-drawn as ``sample_function`` draws but skipping draws that cannot change the
-count; a saturated point, every contained function stored, draws none.
+All randomness is splitmix64, from the one seed in the config: the master
+sequence from one substream, drawn as one batch of a sparse partial Fisher–Yates
+shuffle, and each point's trials from a base b keyed by point position, trial t
+being ``sample_function`` on base ``b + t * n * gamma``. No two draws are shared,
+and the report depends only on the config. The master sequence stays keys (see
+``relations``): a first pass decodes them to snapshot the relation at each S and
+check its contained count before any trial runs, a second runs the points in
+order of S on the sorted distinct keys stored so far. Trials are counted column
+by column, skipping draws that cannot change the count; a saturated point, every
+contained function stored, draws none.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import random
+import random  # not used here; benchmarks/tracing.py patches experiment.random until it reads counters
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Literal
@@ -126,8 +126,7 @@ def _run_point(
     if len(keys) == contained:
         hits = config.trials
     else:
-        randomness = random.Random(substream_seed(config.seed, 1, position))
-        hits = _count_sorted_hits(relation, keys, config.trials, randomness)
+        hits = _count_sorted_hits(relation, keys, config.trials, substream_seed(config.seed, 1, position))
     return SweepPoint(
         stored_count=config.stored_counts[position],
         entropy=entropy(relation),

@@ -9,11 +9,11 @@ A stored function's key is one int, its rows less one read as n base-m digits,
 first column most significant, an empty column as 0: ``count_hits`` encodes it,
 ``_marks`` decodes it, and ``_count_sorted_hits`` counts hits on sorted keys.
 
-Evaluating a relation at an argument picks one of that column's marked rows
-uniformly at random, from the same splitmix64 substream that column uses in
-``sample_function``; the per-argument indeterminacy is summarized by the
-computational entropy e = (1/n) * sum(log2(v_i)) over non-empty columns, which
-is 0 exactly for (partial) functions and at most log2(m).
+Evaluating a relation at an argument picks one of that column's marked rows uniformly at
+random, from the substream that column uses in ``sample_function``; ``count_hits``' trial t
+samples on base b + t * n * gamma. The per-argument indeterminacy is summarized by the
+computational entropy e = (1/n) * sum(log2(v_i)) over non-empty columns, which is 0 exactly
+for (partial) functions and at most log2(m).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Literal
 
 from .enumeration import FunctionTable, TableShape, _Record, check_position
 from .errors import DomainError, ShapeError, check_result_digits
-from .streams import _CHUNK, _column_indices, substream_indices, substream_seed, uniform_index
+from .streams import _CHUNK, _GAMMA, _MASK64, _draws, substream_indices, substream_seed, uniform_index
 
 __all__ = [
     "RelationTable",
@@ -149,12 +149,12 @@ def count_hits(
 ) -> int:
     """How many of ``trials`` sample_function draws land on a stored function.
 
-    Equal to ``sum(sample_function(relation, randomness).marks in stored_marks for _ in
-    range(trials))``, leaving ``randomness`` in the same state, but drawn column by column for
-    a chunk of trials at once, on the keys of the stored functions that sampling can return,
-    each column one batch draw. A forced column (at most one marked row) is never drawn: every
-    trial picks its one row, or none. Substream draws do not depend on evaluation order, so
-    neither skipping them nor the order changes an outcome.
+    Takes one 64-bit base b from ``randomness`` whatever ``trials`` is; trial t is
+    ``sample_function`` on base ``b + t * n * gamma mod 2**64``, gamma splitmix64's increment.
+    Counted column by column for a chunk of trials at once, on the keys of the stored functions
+    that sampling can return, each column one batch draw. A forced column (at most one marked
+    row) is never drawn: every trial picks its one row, or none. Substream draws do not depend
+    on evaluation order, so neither skipping them nor the order changes an outcome.
     """
     if type(trials) is not int or trials < 0:
         raise DomainError(f"trials {trials!r} is not a non-negative integer")
@@ -165,22 +165,24 @@ def count_hits(
         for table in stored
         if all(_marked(rows, row) or not (rows or row) for rows, row in zip(relation.columns, table.marks))
     }
-    return _count_sorted_hits(relation, sorted(keys), trials, randomness)
+    return _count_sorted_hits(relation, sorted(keys), trials, randomness.getrandbits(64))
 
 
 def _count_sorted_hits(
-    relation: RelationTable | FunctionTable, keys: list[int], trials: int, randomness: random.Random,
+    relation: RelationTable | FunctionTable, keys: list[int], trials: int, base: int,
 ) -> int:
-    """``count_hits`` on the sorted ``keys`` of functions sampling can return, unchecked. At each
-    column of two or more rows a trial adds its pick's offset, row - 1 at the column's weight plus
-    the forced digits since the last drawn column, read off ``keys[0]``, and lives while a key
-    has its prefix; the sentinel m**n ends every bisection on a key. Each column's offsets are
-    built when first reached; at the first one every trial's prefix is the same."""
+    """``count_hits`` from ``base`` on the sorted ``keys`` of functions sampling can return,
+    unchecked. Trial t draws column c as lane t of ``_draws`` with step n * gamma and offset
+    base + (c + 1) * gamma. At each column of two or more rows a trial adds its pick's offset,
+    row - 1 at the column's weight plus the forced digits since the last drawn column, read off
+    ``keys[0]``, and lives while a key has its prefix; the sentinel m**n ends every bisection on
+    a key. Each column's offsets are built when first reached; at the first one every trial's
+    prefix is the same."""
     m, n = relation.shape.m, relation.shape.n
     drawn = [(column, rows) for column, rows in enumerate(relation.columns) if len(rows) > 1]
-    keys, levels, held, hits = [*keys, m**n], [], [], 0
+    keys, levels, held, hits, step = [*keys, m**n], [], [], 0, n * _GAMMA & _MASK64
     for start in range(0, trials, _CHUNK):
-        live = [randomness.getrandbits(64) for _ in range(min(_CHUNK, trials - start))]
+        live = range(start, min(start + _CHUNK, trials))
         for depth, (column, rows) in enumerate(drawn):
             if depth == len(levels):  # first reached
                 weight = pow(m, n - 1 - column)
@@ -188,10 +190,11 @@ def _count_sorted_hits(
                 levels.append((weight, [forced + (row - 1) * weight for row in rows]))
                 held = held or [keys[bisect_left(keys, key)] < key + weight for key in levels[0][1]]
             weight, offsets = levels[depth]
-            picks = _column_indices([base for base, _ in live] if depth else live, column, len(rows))
+            offset = base + (column + 1) * _GAMMA & _MASK64
+            picks = _draws([trial for trial, _ in live] if depth else live, step, offset, len(rows))
             if depth:
                 live = [
-                    (base, key) for (base, prefix), pick in zip(live, picks)
+                    (trial, key) for (trial, prefix), pick in zip(live, picks)
                     if keys[bisect_left(keys, key := prefix + offsets[pick])] < key + weight
                 ]
             else:  # each row was tested once

@@ -2,7 +2,8 @@
 
 splitmix64 arithmetic only: derived substreams depend on (base, salt indices),
 never on evaluation order, so column draws and sweep points can run in any
-order or in parallel without changing results.
+order or in parallel without changing results. The k-th state is seed + k * gamma, so a draw
+is addressed directly (SplitMix, OOPSLA 2014), here by a sweep trial's index (Salmon, SC 2011).
 
 A draw from range(count) is Lemire's multiply-high rule (D. Lemire, "Fast Random
 Integer Generation in an Interval", ACM TOMACS 29(1), 2019): a 64k-bit word W
@@ -16,11 +17,12 @@ sits in bits 128i..128i+63 of one Python int, and each whole-int step is masked 
 those low halves. With values, step and offset below 2**64, a lane's state stays below
 2**128, so no carry crosses a lane; a right shift only pulls the next lane's low bits
 into this lane's high half, which the mask clears. The batch form ``substream_indices``
-(salts 0..k-1 of one base) and the trial loop's column draw (many bases, one salt, one
-count) are its two callers. One count of at most 2**64 takes one multiply, each word's
-product in its lane and the index in its high half, and one carry test: 2**64 - threshold
-added to every low half carries into bit 64 of each lane kept. One count a lane takes a
-product a lane. Either way only a rejected lane is redrawn, by the scalar rule.
+(salts 0..k-1 of one base, step gamma) and the trial loop's column draw (trial indices, step
+n * gamma, one count; see ``relations._count_sorted_hits``) are its two callers. One count
+of at most 2**64 takes one multiply, each word's product in its lane and the index in its
+high half, and one carry test: 2**64 - threshold added to every low half carries into bit
+64 of each lane kept. One count a lane takes a product a lane. Either way only a rejected
+lane is redrawn, by the scalar rule.
 """
 
 from __future__ import annotations
@@ -111,15 +113,10 @@ def _draws(values: Sequence[int], step: int, offset: int, counts: int | Sequence
     return result
 
 
-def _column_indices(bases: Sequence[int], salt: int, count: int) -> Sequence[int]:
-    """``uniform_index(substream_seed(base, salt), count)`` for at most ``_CHUNK`` bases; count <= 2**64."""
-    return _draws(bases, 1, (salt + 1) * _GAMMA & _MASK64, count)
-
-
 def substream_indices(base: int, counts: Sequence[int]) -> list[int]:
     """``uniform_index(substream_seed(base, i), counts[i])`` for lane i of ``counts``.
     One count <= 2**64 in every lane (``--no-distinct``, equal columns) takes the kernel's
-    one-count tail. The trial loop calls ``_column_indices``."""
+    one-count tail. Sweep trial t of base b is this draw on base ``b + t * n * gamma``."""
     if len(counts) and min(counts) < 1:
         raise ValueError(f"count must be positive, got {min(counts)}")
     same = len(counts) and counts.count(counts[0]) == len(counts) and counts[0] <= 1 << 64

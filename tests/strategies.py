@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for shapes, function tables (indices), and relations."""
+"""Shared hypothesis strategies for shapes, function tables (indices), and relations, and the
+generator stub that replays the trials of ``count_hits`` and the sweep."""
 
 from __future__ import annotations
 
@@ -35,3 +36,17 @@ def relations_of(shape: TableShape) -> st.SearchStrategy[RelationTable]:
 
 def relations(max_n: int = 8, max_m: int = 8) -> st.SearchStrategy[RelationTable]:
     return shapes(max_n, max_m).flatmap(relations_of)
+
+
+class TrialBases:
+    """A generator stub: its t-th ``getrandbits(64)`` is ``base + t * n * gamma`` mod 2**64, so
+    ``sample_function`` on it replays the trials of ``count_hits`` (or of a sweep point) from
+    ``base``, and ``calls`` counts the bases taken."""
+
+    def __init__(self, base: int, n: int) -> None:
+        self.base, self.step, self.calls = base, n * 0x9E3779B97F4A7C15, 0
+
+    def getrandbits(self, bits: int) -> int:
+        assert bits == 64
+        self.calls += 1
+        return (self.base + (self.calls - 1) * self.step) % 2**64

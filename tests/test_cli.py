@@ -175,6 +175,37 @@ def test_a_real_unwritable_stdout_exits_2_with_one_line():
     )
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "none"])
+def test_an_unwritable_stderr_keeps_the_exit_status(capsys, monkeypatch, closed):
+    # `sys.stderr.close()` before main runs, or file descriptor 2 closed at start (sys.stderr None):
+    # the message line is skipped, never sent to stdout, and each exit status stands
+    stderr = io.StringIO() if closed else None
+    if closed:
+        stderr.close()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    for argv, status in (
+        (["number", "--shape", "4x7", "--k", "1 2 9 7"], 1),  # a domain error
+        (["unnumber", "abc"], 2),  # argparse's usage error
+        (["encode", "no-such-file.doc"], 2),  # malformed input: an unreadable file
+    ):
+        assert main(argv) == status
+        assert capsys.readouterr().out == ""
+        assert sys.stderr is stderr
+    assert main(["number", "--shape", "4x7", "--k", "1 2 4 7"]) == 0
+    assert capsys.readouterr().out == "293561\n"
+
+
+def test_a_real_closed_stderr_exits_with_its_status_and_no_dump():
+    source = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    program = "import sys; from tabcomp import cli; sys.stderr.close(); sys.exit(cli.main(sys.argv[1:]))"
+    for argv, status in ((["number", "--shape", "4x7", "--k", "1 2 9 7"], 1), (["unnumber", "abc"], 2)):
+        result = subprocess.run(
+            [sys.executable, "-c", program, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (status, "", "")
+
+
 def test_decode(capsys):
     code, out, _ = run_cli(capsys, ["decode", "--shape", "4x7", "--k", "1 2 4 7"])
     assert (code, out) == (0, F1247)

@@ -29,10 +29,12 @@ from tabcomp import (
     experiment,
     parse_report,
     run_sweep,
+    sample_function,
     superpose,
 )
 from tabcomp.cli import main
 from tabcomp.streams import substream_seed, uniform_index
+from strategies import TrialBases
 from test_golden import CASES
 
 
@@ -481,6 +483,31 @@ def test_prefix_pass_matches_superposing_each_prefix(config):
         assert keys == sorted(set(stored))
         assert report.points[position].precision_expected == len(set(stored)) / contained
         assert report.points[position].stored_count == counts[position]
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+@pytest.mark.parametrize(
+    "shape, counts, trials, seed",
+    [(TableShape(3, 3), (1, 2, 4, 8), 400, 42), (TableShape(6, 4), (500, 1100, 2100), 200, 11)],
+    ids=["3x3", "6x4"],
+)
+def test_sweep_trials_are_the_public_samplers(shape, counts, trials, seed, distinct):
+    # point p's trial t is sample_function on the base b + t * n * gamma, b = substream_seed(seed, 1, p)
+    config = ExperimentConfig(shape, counts, trials=trials, seed=seed, distinct=distinct)
+    report, master = run_sweep(config), _scalar_master(config)
+    replayed = 0
+    for position, point in enumerate(report.points):
+        stored = {_scalar_marks(index, shape) for index in master[: counts[position]]}
+        tables = [FunctionTable(shape, marks) for marks in stored]
+        relation = reduce(superpose, tables, RelationTable(shape, ((),) * shape.n))
+        if len(stored) == point.contained_total:  # saturated: every trial hits, none is drawn
+            assert point.precision_observed == 1.0
+            continue
+        bases = TrialBases(substream_seed(seed, 1, position), shape.n)
+        hits = sum(sample_function(relation, bases).marks in stored for _ in range(trials))
+        assert point.precision_observed == hits / trials
+        replayed += 1
+    assert replayed >= 2
 
 
 def test_saturating_sweep_builds_no_function_table(monkeypatch):

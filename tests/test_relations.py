@@ -31,7 +31,7 @@ from tabcomp import (
 )
 from tabcomp.relations import _count_sorted_hits
 
-from strategies import indices, indices_of, relations, relations_of, shapes
+from strategies import TrialBases, indices, indices_of, relations, relations_of, shapes
 
 
 def test_entropy_hand_cases():
@@ -396,7 +396,7 @@ _BETWEEN = [(2,), (1, 3), (3,), (1, 2), (1,), ()]
 @example((RelationTable(_ONE.shape, _ONE.columns), [_ONE]), 300, 5)
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3), 300, 6)
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3 + _EVERY_2X3[:4]), 1, 7)
-# past one chunk of trials: the second chunk goes on from the first one's generator state
+# past one chunk of trials: the second chunk's trial indices go on from the first one's
 @example((RelationTable(_SATURATED, ((1, 2, 3), (1, 2, 3))), _EVERY_2X3[:4]), 2049, 8)
 # every stored function holds the forced digits, so columns 2 and 3 are skipped
 @example(_over_forced((1, 2, 0, 1), (2, 2, 0, 3), (3, 2, 0, 1)), 600, 1)
@@ -424,14 +424,12 @@ _BETWEEN = [(2,), (1, 3), (3,), (1, 2), (1,), ()]
 def test_count_hits_matches_repeated_sampling(case, trials, seed):
     relation, stored = case
     stored_marks = {table.marks for table in stored}
-    reference = random.Random(seed)
-    expected = sum(
-        sample_function(relation, reference).marks in stored_marks for _ in range(trials)
-    )
-    batched = random.Random(seed)
-    assert count_hits(relation, stored, trials, batched) == expected
-    # the same draws were consumed, so the generators stay in step
-    assert batched.getstate() == reference.getstate()
+    # trial t is sample_function on the base b + t * n * gamma, b the one base count_hits takes
+    replay = TrialBases(seed, relation.shape.n)
+    expected = sum(sample_function(relation, replay).marks in stored_marks for _ in range(trials))
+    randomness = TrialBases(seed, relation.shape.n)
+    assert count_hits(relation, stored, trials, randomness) == expected
+    assert (randomness.calls, replay.calls) == (1, trials)
 
 
 @given(stored_sets(), st.booleans(), st.integers(min_value=0, max_value=300), st.integers(0, 2**64 - 1))
@@ -443,7 +441,7 @@ def test_count_hits_is_the_core_on_sorted_distinct_digit_strings(case, empty, tr
     # (digits less one, an empty column as 0, in base m), sorted, each once, maybe none
     relation, stored = case
     stored = [] if empty else stored
-    public, core = random.Random(seed), random.Random(seed)
+    public = TrialBases(seed, relation.shape.n)
     sampled = [
         table.marks for table in stored
         if all(row in rows if rows else row == 0 for rows, row in zip(relation.columns, table.marks))
@@ -454,9 +452,9 @@ def test_count_hits_is_the_core_on_sorted_distinct_digit_strings(case, empty, tr
         for row in marks:  # Horner's rule, the first column most significant
             key = key * relation.shape.m + max(row - 1, 0)
         keys.add(key)
-    hits = _count_sorted_hits(relation, sorted(keys), trials, core)
+    hits = _count_sorted_hits(relation, sorted(keys), trials, seed)
     assert count_hits(relation, stored, trials, public) == hits
-    assert public.getstate() == core.getstate()
+    assert public.calls == 1
 
 
 def test_count_hits_memory_does_not_grow_with_trials():
@@ -476,12 +474,13 @@ def test_count_hits_edge_cases():
     stored = [FunctionTable(TableShape(2, 2), (1, 1))]
     assert count_hits(relation, stored, 0, random.Random(1)) == 0
     assert count_hits(relation, [], 5, random.Random(1)) == 0
-    # nothing stored: no hits, yet every trial's base is still drawn
-    randomness, reference = random.Random(2), random.Random(2)
-    assert count_hits(relation, [], 1025, randomness) == 0
-    for _ in range(1025):
+    assert count_hits(relation, [], 1025, random.Random(2)) == 0  # past a chunk, nothing stored
+    # one base is drawn whatever the trials, none of them or past a chunk, even with nothing stored
+    for trials, stored_now in [(0, stored), (1, stored), (1025, stored), (1025, [])]:
+        randomness, reference = random.Random(2), random.Random(2)
         reference.getrandbits(64)
-    assert randomness.getstate() == reference.getstate()
+        count_hits(relation, stored_now, trials, randomness)
+        assert randomness.getstate() == reference.getstate()
     with pytest.raises(DomainError):
         count_hits(relation, stored, -1, random.Random(1))
     with pytest.raises(ShapeError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -95,31 +96,47 @@ def _first_word_rejected(base: int, salt: int, count: int) -> bool:
 _COLUMN_COUNTS = [count for count in _COUNTS if count <= 1 << 64]
 
 
+def _column_draw(trials, base: int, n: int, column: int, count: int) -> list[int]:
+    """Column ``column`` of ``trials`` as the trial loop draws it: the trial indices through
+    the lane kernel, with step n * gamma and offset base + (column + 1) * gamma."""
+    step, offset = n * streams._GAMMA & _MASK64, (base + (column + 1) * streams._GAMMA) & _MASK64
+    return list(streams._draws(trials, step, offset, count))
+
+
+def _trial_base(base: int, n: int, trial: int) -> int:
+    """The base on which ``sample_function`` draws trial ``trial`` of a point with base ``base``."""
+    return (base + trial * n * streams._GAMMA) & _MASK64
+
+
 @pytest.mark.parametrize("lanes", [0, 1, 2, streams._CHUNK])
 @pytest.mark.parametrize("count", _COLUMN_COUNTS)
 def test_column_draw_equals_scalar_lane_by_lane(lanes, count):
     fuzz = random.Random(lanes * 11 + count.bit_length())
-    bases, salt = [fuzz.getrandbits(64) for _ in range(lanes)], fuzz.getrandbits(64)
-    expected = [uniform_index(substream_seed(base, salt), count) for base in bases]
-    assert list(streams._column_indices(bases, salt, count)) == expected
+    base, n, start = fuzz.getrandbits(64), fuzz.randrange(1, 40), fuzz.randrange(10**6)
+    column, trials = fuzz.randrange(n), range(start, start + lanes)
+    expected = [uniform_index(substream_seed(_trial_base(base, n, t), column), count) for t in trials]
+    assert _column_draw(trials, base, n, column, count) == expected
     if count == (1 << 63) + 1 and lanes == streams._CHUNK:  # the redraw path runs
-        assert any(_first_word_rejected(base, salt, count) for base in bases)
+        assert any(_first_word_rejected(_trial_base(base, n, t), column, count) for t in trials)
 
 
 @pytest.mark.parametrize("position", [0, 1, streams._CHUNK // 2, streams._CHUNK - 1])
 def test_column_draw_redraws_a_single_rejected_lane(position):
-    # bases chosen by the scalar rule: every first word kept but one, so a carry
+    # trials chosen by the scalar rule: every first word kept but one, so a carry
     # test that misses a single lane leaves that lane's first-word index in place
-    count, salt, fuzz = (1 << 63) + 1, 4, random.Random(position)
+    count, base, n, column = (1 << 63) + 1, random.Random(position).getrandbits(64), 5, 4
     kept, rejected = [], []
-    while len(kept) < streams._CHUNK - 1 or not rejected:
-        base = fuzz.getrandbits(64)
-        (rejected if _first_word_rejected(base, salt, count) else kept).append(base)
-    bases = kept[: streams._CHUNK - 1]
-    bases.insert(position, rejected[0])
-    word = streams._finalize((substream_seed(rejected[0], salt) + streams._GAMMA) & _MASK64)
-    drawn = list(streams._column_indices(bases, salt, count))
-    assert drawn == [uniform_index(substream_seed(base, salt), count) for base in bases]
+    for trial in itertools.count():
+        if len(kept) >= streams._CHUNK - 1 and rejected:
+            break
+        rejected_here = _first_word_rejected(_trial_base(base, n, trial), column, count)
+        (rejected if rejected_here else kept).append(trial)
+    trials = kept[: streams._CHUNK - 1]
+    trials.insert(position, rejected[0])
+    seed = substream_seed(_trial_base(base, n, rejected[0]), column)
+    word = streams._finalize((seed + streams._GAMMA) & _MASK64)
+    drawn = _column_draw(trials, base, n, column, count)
+    assert drawn == [uniform_index(substream_seed(_trial_base(base, n, t), column), count) for t in trials]
     assert drawn[position] != word * count >> 64
 
 
@@ -127,11 +144,14 @@ def test_column_draw_redraws_a_single_rejected_lane(position):
 @given(
     st.lists(st.integers(0, _MASK64), max_size=streams._CHUNK),
     st.integers(0, _MASK64),
+    st.integers(1, 1 << 20),
+    st.integers(0, 1 << 20),
     st.integers(1, 1 << 64),
 )
-def test_column_draw_is_the_scalar_draw(bases, salt, count):
-    expected = [uniform_index(substream_seed(base, salt), count) for base in bases]
-    assert list(streams._column_indices(bases, salt, count)) == expected
+def test_column_draw_is_the_scalar_draw(trials, base, n, column, count):
+    column %= n
+    expected = [uniform_index(substream_seed(_trial_base(base, n, t), column), count) for t in trials]
+    assert _column_draw(trials, base, n, column, count) == expected
 
 
 @settings(deadline=None)
