@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per library operation.
 
 Documents are read from file arguments or standard input ('-'). Each command returns its whole
-answer, and ``main`` alone writes it to standard output in one piece, so a command that fails
-writes none. Exit status is 0 on success, 1 on a domain or validation error, 2 on malformed input
-(bad documents, unreadable files, usage errors) or, for every command, unwritable output.
+answer, and ``main`` alone writes it to standard output in one piece, argparse's --help and
+--version text too, so a command that fails writes none. Exit status is 0 on success, 1 on a
+domain or validation error, 2 on malformed input (bad documents, unreadable files, usage errors)
+or, for every command and for --help and --version, unwritable output.
 Stochastic subcommands take a mandatory --seed so every run is reproducible.
 """
 
@@ -14,7 +15,7 @@ import io
 import os
 import random
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, reduce
 
 from . import __version__
@@ -277,11 +278,14 @@ def main(argv: list[str] | None = None) -> int:
         with redirect_stderr(io.StringIO()):  # no line can be written: the exit status alone tells
             return main(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        with redirect_stdout(io.StringIO()) as printed:  # argparse's --help and --version text, written below
+            args = _build_parser().parse_args(argv)
     except SystemExit as exit_:
-        return exit_.code if isinstance(exit_.code, int) else 2
+        if exit_.code != 0:  # a usage error, already written to standard error
+            return exit_.code if isinstance(exit_.code, int) else 2
+        args = None
     try:
-        output = args.handler(args)  # all of it, before any is written: a failed command writes none
+        output = args.handler(args) if args else printed.getvalue()  # all of it, before any is written
         if sys.stdout is None or getattr(sys.stdout, "closed", False):  # fd 1 closed at start, or stdout closed
             raise OSError("it is closed")
         sys.stdout.write(output)

@@ -177,22 +177,27 @@ def count_functions(shape: TableShape) -> int:
     return (shape.m + 1) ** shape.n
 
 
-def _offset_before(table: int) -> int:
-    """Total number of functions in tables 1..table-1 of the diagonal order."""
-    return sum(count_functions(table_shape(i)) for i in range(1, table))
+def _offset_before(shape: TableShape) -> int:
+    """Functions in the tables before ``shape`` in the diagonal order: the geometric series
+    (m+1)^1 + ... + (m+1)^(d-m) per value count m on the diagonals before d, then d's shapes."""
+    d = shape.diagonal
+    earlier = sum((m + 1) * ((m + 1) ** (d - m) - 1) // m for m in range(1, d))
+    return earlier + sum((m + 1) ** (d - m + 1) for m in range(1, shape.m))
 
 
 def function_number(index: FunctionTable) -> int:
     """Absolute 1-based position of a function in the global enumeration.
 
-    The functions of all earlier tables in the diagonal order come first;
-    within its own table the function sits at its digit string read as a
-    base-(m+1) natural, plus one. A number ``str`` cannot write is a ``DomainError``.
+    The functions of all earlier tables in the diagonal order come first, summed
+    in closed form with O(d) powers for diagonal d; within its own table the
+    function sits at its digit string read as a base-(m+1) natural, plus one.
+    A number ``str`` cannot write is a ``DomainError``: refused from the table
+    counts of the diagonal before d, ahead of the sum, and exactly at the end.
     """
     diagonal = index.shape.diagonal
     for m in range(1, diagonal):  # the number passes each table of the diagonal before
         check_result_digits(m + 1, diagonal - m)
-    number = _offset_before(table_number(index.shape)) + index.as_natural() + 1
+    number = _offset_before(index.shape) + index.as_natural() + 1
     check_result_digits(number)
     return number
 

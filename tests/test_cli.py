@@ -176,6 +176,30 @@ def test_a_real_unwritable_stdout_exits_2_with_one_line():
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "none"])
+@pytest.mark.parametrize("argv", [["--help"], ["number", "--help"], ["--version"]], ids=" ".join)
+def test_argparse_text_to_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch, argv, closed):
+    # argparse writes --help and --version itself; they reach standard output through main alike
+    stdout = io.StringIO() if closed else None
+    if closed:
+        stdout.close()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write standard output: it is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_real_help_to_a_full_device_exits_2_with_one_line():
+    source = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tabcomp.cli", "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        )
+    message = "error: cannot write standard output: No space left on device\n"
+    assert (result.returncode, result.stderr) == (2, message)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "none"])
 def test_an_unwritable_stderr_keeps_the_exit_status(capsys, monkeypatch, closed):
     # `sys.stderr.close()` before main runs, or file descriptor 2 closed at start (sys.stderr None):
     # the message line is skipped, never sent to stdout, and each exit status stands
@@ -678,7 +702,7 @@ def test_success_leaves_stderr_empty(capsys, docs):
 
 # Fuzzed argv: each subcommand with its real arguments, some dropped, plus a
 # few pieces meant for other subcommands, in any order. Every number has at
-# most two digits, because number and unnumber near diagonal 2035 still walk O(D**2) tables.
+# most two digits, because unnumber near diagonal 2035 still walks O(D**2) tables.
 _SMALL = st.integers(0, 4) | st.integers(-9, 99)
 
 

@@ -32,6 +32,7 @@ from tabcomp import (
     table_number,
     table_shape,
 )
+from tabcomp import enumeration
 
 from strategies import indices, shapes
 
@@ -174,6 +175,37 @@ def test_function_numbering_respects_digit_order_within_table():
         for digits in itertools.product(range(3), repeat=2)
     ]
     assert ordered == list(range(start, start + 9))
+
+
+def _offset_by_walk(table):
+    """The functions in tables 1..table-1, summed table by table: the oracle for the closed form."""
+    return sum(count_functions(table_shape(i)) for i in range(1, table))
+
+
+def test_closed_form_offset_equals_the_table_walk():
+    for table in range(1, 401):
+        assert enumeration._offset_before(table_shape(table)) == _offset_by_walk(table), table
+
+
+def test_function_number_builds_no_table_of_the_walk(monkeypatch):
+    # the number of the first function of a table is one past the largest of the table before
+    cases = [(TableShape(200, 3), TableShape(201, 2)), (TableShape(1, 1200), TableShape(2, 1199))]
+    largest = {before: function_number(FunctionIndex(before, (before.m,) * before.n)) for _, before in cases}
+
+    def refuse(*_):
+        raise AssertionError("function_number walked the tables")
+
+    monkeypatch.setattr(enumeration, "table_shape", refuse)
+    monkeypatch.setattr(enumeration, "count_functions", refuse)
+    for shape, before in cases:
+        assert function_number(FunctionIndex(shape, (0,) * shape.n)) == largest[before] + 1
+
+
+def test_function_number_of_a_far_diagonal_is_fast():
+    # the one function of table 1x1200 with digit 0: the walk summed the 720,599 tables before it
+    start = time.perf_counter()
+    function_number(FunctionIndex(TableShape(1, 1200), (0,)))
+    assert time.perf_counter() - start < 1.0
 
 
 @given(indices())
