@@ -1,10 +1,10 @@
 """Command-line front end: one subcommand per library operation.
 
-Documents are read from file arguments or standard input ('-'). Each command returns its whole
-answer, and ``main`` alone writes it to standard output in one piece, argparse's --help and
---version text too, so a command that fails writes none. Exit status is 0 on success, 1 on a
-domain or validation error, 2 on malformed input (bad documents, unreadable files, usage errors)
-or, for every command and for --help and --version, unwritable output.
+Documents are read from file arguments or standard input ('-'). ``main`` captures all that a
+command and argparse write, then, once the command has finished, writes each standard stream once:
+standard output whole and only on success, standard error last. Exit status is 0 on success, 1 on
+a domain or validation error, 2 on malformed input (bad documents, unreadable files, usage errors)
+or unwritable output; an unwritable standard error changes none of them.
 Stochastic subcommands take a mandatory --seed so every run is reproducible.
 """
 
@@ -15,7 +15,7 @@ import io
 import os
 import random
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from functools import cache, reduce
 
 from . import __version__
@@ -86,9 +86,9 @@ def _read_document(path: str) -> str | bytes:
             return getattr(sys.stdin, "buffer", sys.stdin).read()
         with open(path, "rb") as handle:
             return handle.read()
-    except OSError as error:
+    except (OSError, ValueError) as error:  # open refuses a path with a NUL byte with ValueError
         source = "standard input" if path == "-" else path
-        raise ParseError(f"cannot read {source}: {error.strerror or error}") from None
+        raise ParseError(f"cannot read {source}: {getattr(error, 'strerror', None) or error}") from None
 
 
 def _load_table(path: str, function_needed: str | None = None) -> FunctionTable | RelationTable:
@@ -274,31 +274,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point. Returns 0 on success, 1 on domain errors, 2 on bad input."""
-    if sys.stderr is None or getattr(sys.stderr, "closed", False):  # fd 2 closed at start, or stderr closed
-        with redirect_stderr(io.StringIO()):  # no line can be written: the exit status alone tells
-            return main(argv)
-    try:
-        with redirect_stdout(io.StringIO()) as printed:  # argparse's --help and --version text, written below
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:  # written below, once each
+        try:  # argparse writes --help, --version and its usage errors itself
             args = _build_parser().parse_args(argv)
-    except SystemExit as exit_:
-        if exit_.code != 0:  # a usage error, already written to standard error
-            return exit_.code if isinstance(exit_.code, int) else 2
-        args = None
-    try:
-        output = args.handler(args) if args else printed.getvalue()  # all of it, before any is written
-        if sys.stdout is None or getattr(sys.stdout, "closed", False):  # fd 1 closed at start, or stdout closed
-            raise OSError("it is closed")
-        sys.stdout.write(output)
-        sys.stdout.flush()  # a write that fails fails here, not at shutdown
-    except ValueError as error:  # every library error; ParseError is malformed input
-        print(f"error: {error}", file=sys.stderr)
-        return 2 if isinstance(error, ParseError) else 1
-    except OSError as error:  # a full device or a closed pipe: the handlers read no other stream
-        print(f"error: cannot write standard output: {error.strerror or error}", file=sys.stderr)
-        if hasattr(sys.stdout, "fileno") and not sys.stdout.closed:  # buffered text goes to devnull, not a second failure
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
-    return 0
+            out.write(args.handler(args))
+            status = 0
+        except SystemExit as exit_:
+            status = exit_.code if isinstance(exit_.code, int) else 2
+        except ValueError as error:  # every library error; ParseError is malformed input
+            print(f"error: {error}", file=sys.stderr)
+            status = 2 if isinstance(error, ParseError) else 1
+    for stream, captured in ((sys.stdout, out), (sys.stderr, err)):  # stderr last, with any line stdout adds
+        if captured is out and status != 0:  # a failed command writes no output
+            continue
+        try:
+            if stream is None or getattr(stream, "closed", False):  # its fd closed at start, or it was closed
+                raise OSError("it is closed")
+            stream.write(captured.getvalue())
+            stream.flush()  # a write that fails fails here, not at shutdown
+        except (OSError, ValueError) as error:  # a full device or a closed pipe; an unwritable stderr goes untold
+            with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())  # the text left in its buffer is not refused at exit
+            if captured is out:
+                print(f"error: cannot write standard output: {getattr(error, 'strerror', None) or error}", file=err)
+                status = 2
+    return status
 
 
 def cli() -> None:  # pragma: no cover

@@ -199,13 +199,32 @@ def test_a_real_help_to_a_full_device_exits_2_with_one_line():
     assert (result.returncode, result.stderr) == (2, message)
 
 
-@pytest.mark.parametrize("closed", [True, False], ids=["closed", "none"])
-def test_an_unwritable_stderr_keeps_the_exit_status(capsys, monkeypatch, closed):
-    # `sys.stderr.close()` before main runs, or file descriptor 2 closed at start (sys.stderr None):
-    # the message line is skipped, never sent to stdout, and each exit status stands
-    stderr = io.StringIO() if closed else None
-    if closed:
-        stderr.close()
+def _refusing(error: OSError) -> types.SimpleNamespace:
+    """A standard stream whose every write raises ``error``, as on a full device."""
+    def write(text):
+        raise error
+    return types.SimpleNamespace(write=write, flush=lambda: None)
+
+
+FULL = OSError(errno.ENOSPC, "No space left on device")
+
+
+def _unwritable(kind: str):
+    if kind == "full":
+        return _refusing(FULL)
+    if kind == "none":
+        return None
+    closed = io.StringIO()
+    closed.close()
+    return closed
+
+
+@pytest.mark.parametrize("kind", ["closed", "none", "full"])
+def test_an_unwritable_stderr_keeps_the_exit_status(capsys, monkeypatch, kind):
+    # `sys.stderr.close()` before main runs, file descriptor 2 closed at start (sys.stderr None),
+    # or a stderr on a full device: the message line is skipped, never sent to stdout, nothing
+    # is raised, and each exit status stands
+    stderr = _unwritable(kind)
     monkeypatch.setattr(sys, "stderr", stderr)
     for argv, status in (
         (["number", "--shape", "4x7", "--k", "1 2 9 7"], 1),  # a domain error
@@ -217,6 +236,9 @@ def test_an_unwritable_stderr_keeps_the_exit_status(capsys, monkeypatch, closed)
         assert sys.stderr is stderr
     assert main(["number", "--shape", "4x7", "--k", "1 2 4 7"]) == 0
     assert capsys.readouterr().out == "293561\n"
+    # a successful command whose standard output fails too: the status alone tells
+    monkeypatch.setattr(sys, "stdout", _refusing(FULL))
+    assert main(["number", "--shape", "4x7", "--k", "1 2 4 7"]) == 2
 
 
 def test_a_real_closed_stderr_exits_with_its_status_and_no_dump():
@@ -228,6 +250,60 @@ def test_a_real_closed_stderr_exits_with_its_status_and_no_dump():
             env={**os.environ, "PYTHONPATH": source}, timeout=60,
         )
         assert (result.returncode, result.stdout, result.stderr) == (status, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_real_unwritable_stderr_keeps_the_exit_status():
+    # the message line is refused by a full device or a pipe nobody reads; the exit status stands,
+    # with no second failure ("Exception ignored ...", status 120) when a buffered stderr is
+    # flushed again at shutdown, or when it is unbuffered
+    source = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    encode = [sys.executable, "-m", "tabcomp.cli", "encode", "no-such.doc"]
+    number = [sys.executable, "-m", "tabcomp.cli", "number", "--shape", "4x7", "--k", "1 2 4 7"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a pipe nobody reads: a write to it is EPIPE
+    try:
+        with open("/dev/full", "wb") as full:
+            for unbuffered in ("", "1"):
+                env = {
+                    "PYTHONPATH": source,
+                    "PYTHONUNBUFFERED": unbuffered,
+                    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+                }
+                for argv, stdout, stderr in (
+                    (encode, subprocess.PIPE, full),
+                    (number, full, full),
+                    (encode, subprocess.PIPE, write_end),
+                ):
+                    result = subprocess.run(argv, stdout=stdout, stderr=stderr, env=env, timeout=60)
+                    assert (result.returncode, result.stdout or b"") == (2, b""), (argv, stderr, unbuffered)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_failed_stdout_write_leaves_no_descriptor_open(capsys, monkeypatch):
+    # a failed write points the stream's descriptor at devnull, so each call gets a fresh full device
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["number", "--shape", "4x7", "--k", "1 2 4 7"]) == 2
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == "error: cannot write standard output: No space left on device\n" * 20
+
+
+def test_an_in_memory_stdout_that_refuses_a_write_exits_2(capsys, monkeypatch):
+    # an in-memory stream has a fileno method that raises: nothing is sent to devnull, nothing raised
+    class Full(io.StringIO):
+        def write(self, text):
+            raise FULL
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    message = "error: cannot write standard output: No space left on device\n"
+    assert run_cli(capsys, ["number", "--shape", "4x7", "--k", "1 2 4 7"]) == (2, "", message)
 
 
 def test_decode(capsys):
@@ -550,6 +626,8 @@ EXIT_CORPUS += [
     (["sample", "{full22}", "--seed", "-5"], None, 1, "error: seed -5 outside 0..2**64-1"),
     (["sample", "{full22}", "--seed", str(1 << 64)], None, 1, f"error: seed {1 << 64} outside 0..2**64-1"),
 ]
+# a path open refuses, here for its NUL byte, is malformed input like any path that cannot be read
+EXIT_CORPUS += [(["encode", "a\x00b"], None, 2, "error: cannot read a\x00b: embedded null byte")]
 # each case keeps the id pytest gave it when the corpus had no stderr line
 EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
 
