@@ -29,7 +29,7 @@ from .enumeration import (
     function_number,
     table_shape,
 )
-from .errors import DomainError, ParseError, _checked_seed, check_result_digits
+from .errors import DomainError, ParseError, _checked_seed, _shown, check_result_digits
 from .relations import (
     RelationTable,
     contains,
@@ -45,8 +45,8 @@ __all__ = ["main", "cli"]
 
 
 def _decimals(text: str, tokens: list[str], expected: str) -> tuple[int, ...]:
-    """Each token's ``decimal_value``; a usage error naming ``expected`` and at most the
-    first 40 characters of the flag's ``text`` when there is none or one is malformed."""
+    """Each token's ``decimal_value``; a usage error naming ``expected`` and the flag's
+    ``text`` as ``errors._shown`` shows it when there is none or one is malformed."""
     try:
         values = tuple(decimal_value(token) for token in tokens)
     except ParseError as error:  # a token past the digit limit: name the limit, not the token
@@ -54,8 +54,7 @@ def _decimals(text: str, tokens: list[str], expected: str) -> tuple[int, ...]:
     except ValueError:
         values = ()
     if not values:
-        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
-        raise argparse.ArgumentTypeError(f"{expected}, got {shown}")
+        raise argparse.ArgumentTypeError(f"{expected}, got {_shown(text)}")
     return values
 
 
@@ -87,7 +86,7 @@ def _read_document(path: str) -> str | bytes:
         with open(path, "rb") as handle:
             return handle.read()
     except (OSError, ValueError) as error:  # open refuses a path with a NUL byte with ValueError
-        source = "standard input" if path == "-" else path
+        source = "standard input" if path == "-" else repr(path)  # a path whole, but on one line
         raise ParseError(f"cannot read {source}: {getattr(error, 'strerror', None) or error}") from None
 
 

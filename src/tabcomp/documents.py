@@ -24,7 +24,7 @@ import sys
 from typing import Literal
 
 from .enumeration import FunctionTable, TableShape, _Record
-from .errors import InvalidIndexError, ParseError
+from .errors import InvalidIndexError, ParseError, _shown
 from .relations import RelationTable, _ascending_within, _sorted_relation
 
 __all__ = ["TableDocument", "parse_table_document", "serialize_table_document"]
@@ -73,11 +73,11 @@ def _tokens(body: str) -> list[_Token]:
 def decimal_value(token: str) -> int:
     """The value of an ASCII decimal token: the one rule for numbers in documents and flags.
 
-    Any other token raises ValueError; a token with more digits than int() converts
-    (``sys.get_int_max_str_digits()``) raises its subclass ParseError.
+    Any other token raises ValueError naming it as ``errors._shown`` shows it; a token with more
+    digits than int() converts (``sys.get_int_max_str_digits()``) raises its subclass ParseError.
     """
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"{token!r} is not a decimal integer")
+        raise ValueError(f"{_shown(token)} is not a decimal integer")
     try:
         return int(token)
     except ValueError:  # worded as check_result_digits words the same limit
@@ -108,7 +108,7 @@ def _parse_header(lines: list[_Line]) -> tuple[TableShape, str]:
     tokens = _tokens(body)
     keyword, column = tokens[0]
     if keyword != "table":
-        raise ParseError(f"expected 'table', got {keyword!r}", line=line_number, column=column)
+        raise ParseError(f"expected 'table', got {_shown(keyword)}", line=line_number, column=column)
     if len(tokens) < 4:
         raise ParseError(
             "expected '<n> <m> <function|relation>' after 'table'",
@@ -118,7 +118,7 @@ def _parse_header(lines: list[_Line]) -> tuple[TableShape, str]:
     if len(tokens) > 4:
         extra, extra_column = tokens[4]
         raise ParseError(
-            f"unexpected token {extra!r} after table kind", line=line_number, column=extra_column
+            f"unexpected token {_shown(extra)} after table kind", line=line_number, column=extra_column
         )
     n = _parse_int(tokens[1][0], line_number, tokens[1][1], "argument count")
     m = _parse_int(tokens[2][0], line_number, tokens[2][1], "value count")
@@ -129,7 +129,7 @@ def _parse_header(lines: list[_Line]) -> tuple[TableShape, str]:
     kind, kind_column = tokens[3]
     if kind not in ("function", "relation"):
         raise ParseError(
-            f"table kind must be 'function' or 'relation', got {kind!r}",
+            f"table kind must be 'function' or 'relation', got {_shown(kind)}",
             line=line_number,
             column=kind_column,
         )
@@ -168,7 +168,7 @@ def _explain_rows(line_number: int, body: str, index: int, m: int) -> None:
     tokens = _tokens(body)
     keyword, column = tokens[0]
     if keyword != "col":
-        raise ParseError(f"expected 'col', got {keyword!r}", line=line_number, column=column)
+        raise ParseError(f"expected 'col', got {_shown(keyword)}", line=line_number, column=column)
     if len(tokens) < 2:
         raise ParseError(
             f"expected column index '{index}:' after 'col'", line=line_number, column=column
@@ -176,7 +176,7 @@ def _explain_rows(line_number: int, body: str, index: int, m: int) -> None:
     label, label_column = tokens[1]
     if label != f"{index}:":
         raise ParseError(
-            f"expected '{index}:', got {label!r}", line=line_number, column=label_column
+            f"expected '{index}:', got {_shown(label)}", line=line_number, column=label_column
         )
     previous = 0
     for token, token_column in tokens[2:]:

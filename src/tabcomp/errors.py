@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the one rule each for a result's size and a seed.
+"""Exception types shared across the package, and the one rule each for a result's size, a seed
+and the text of a refused value, shown by ``_shown``.
 
-All validation failures are ValueError subclasses so callers can catch
-broadly; the CLI distinguishes ParseError (malformed input, exit 2) from
-the rest (domain/validation errors, exit 1).
+All validation failures are ValueError subclasses so callers can catch broadly; the CLI
+distinguishes ParseError (malformed input, exit 2) from the rest (domain/validation errors, exit 1).
 """
 
 from __future__ import annotations
@@ -63,3 +63,8 @@ def _checked_seed(seed: object) -> int:
     if type(seed) is not int or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed!r} outside 0..2**64-1")
     return seed
+
+
+def _shown(text: str) -> str:
+    """How an error line shows a value it refused: the ``repr`` of its first 40 characters, then ``...`` if longer."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."

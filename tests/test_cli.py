@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from tabcomp import cli, experiment, relations
 from tabcomp.cli import main
 from tabcomp.enumeration import FunctionIndex, TableShape, function_number
-from tabcomp.errors import DomainError, check_result_digits
+from tabcomp.errors import DomainError, _shown, check_result_digits
 
 F1247 = "table 4 7 function\n1 2 4 7\n"
 FULL22 = "table 2 2 relation\ncol 1: 1 2\ncol 2: 1 2\n"
@@ -536,7 +536,7 @@ EXIT_CORPUS = [
     (["eval", "-", "--arg", "1"], "table 2 2 function\n3 0\n", 2,
      "error: line 2, column 1: digit 3 exceeds value count 2"),
     (["encode", "/nonexistent/missing.doc"], None, 2,
-     "error: cannot read /nonexistent/missing.doc: No such file or directory"),
+     "error: cannot read '/nonexistent/missing.doc': No such file or directory"),
     (["nosuchcommand"], None, 2,
      "argument command: invalid choice: 'nosuchcommand' (choose from 'encode', 'decode', 'number', "
      "'unnumber', 'shape', 'count', 'eval', 'inverse', 'entropy', 'superpose', 'contains', "
@@ -627,9 +627,36 @@ EXIT_CORPUS += [
     (["sample", "{full22}", "--seed", str(1 << 64)], None, 1, f"error: seed {1 << 64} outside 0..2**64-1"),
 ]
 # a path open refuses, here for its NUL byte, is malformed input like any path that cannot be read
-EXIT_CORPUS += [(["encode", "a\x00b"], None, 2, "error: cannot read a\x00b: embedded null byte")]
-# each case keeps the id pytest gave it when the corpus had no stderr line
-EXIT_IDS = [f"argv_template{case}-{stdin}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)]
+EXIT_CORPUS += [(["encode", "a\x00b"], None, 2, "error: cannot read 'a\\x00b': embedded null byte")]
+# a path is named as repr writes it, whole: a line break in it leaves the message one line
+EXIT_CORPUS += [(["encode", "a\nb"], None, 2, "error: cannot read 'a\\nb': No such file or directory")]
+# a document token is shown as a flag value is, up to its first 40 characters, then "...":
+# site: (document with {} for the token, line, column, message with {} for the token as shown)
+LONG_TOKEN_SITES = {
+    "keyword": ("{} 2 2 function\n1 2\n", 1, 1, "expected 'table', got {}"),
+    "n": ("table {} 2 function\n1 2\n", 1, 7, "argument count {} is not a decimal integer"),
+    "m": ("table 2 {} function\n1 2\n", 1, 9, "value count {} is not a decimal integer"),
+    "kind": ("table 2 2 {}\n1 2\n", 1, 11, "table kind must be 'function' or 'relation', got {}"),
+    "extra": ("table 2 2 function {}\n1 2\n", 1, 20, "unexpected token {} after table kind"),
+    "digit": ("table 2 2 function\n1 {}\n", 2, 3, "digit {} is not a decimal integer"),
+    "row": ("table 1 3 relation\ncol 1: 2 {}\n", 2, 10, "row {} is not a decimal integer"),
+    "col": ("table 1 3 relation\n{} 1: 2\n", 2, 1, "expected 'col', got {}"),
+    "label": ("table 1 3 relation\ncol {} 2\n", 2, 5, "expected '1:', got {}"),
+}
+
+
+def _long_token_case(site, length):
+    document, line, column, message = LONG_TOKEN_SITES[site]
+    shown = message.format("'" + "x" * 40 + "'...")
+    return ["entropy", "-"], document.format("x" * length), 2, f"error: line {line}, column {column}: {shown}"
+
+
+EXIT_CORPUS += [_long_token_case(site, 41) for site in LONG_TOKEN_SITES]
+EXIT_CORPUS += [_long_token_case(site, 100_000) for site in ("keyword", "label")]
+# each case keeps the id pytest gave it when the corpus had no stderr line; a stdin past 60 characters is cut
+EXIT_IDS = [
+    f"argv_template{case}-{stdin and stdin[:60]}-{expected}" for case, (_, stdin, expected, _) in enumerate(EXIT_CORPUS)
+]
 
 
 def _unquoted(text: str) -> str:
@@ -643,7 +670,7 @@ def test_exit_status_contract(capsys, monkeypatch, docs, argv_template, stdin, e
     assert code == expected
     last = err.splitlines()[-1]
     if last_line.startswith("error: "):
-        assert last == last_line
+        assert err == last_line + "\n"  # the one line cli.main writes
     else:
         assert last.startswith("tabcomp")
         assert _unquoted(last).endswith(_unquoted(last_line))
@@ -658,6 +685,22 @@ def test_a_long_malformed_flag_value_is_cut_off(capsys, monkeypatch, argv, stdin
     last = err.splitlines()[-1]
     assert (code, out, last) == (expected, "", f"tabcomp {argv[0]}: error: {last_line}")
     assert len(last.encode("utf-8")) < 200
+
+
+@pytest.mark.parametrize("site", LONG_TOKEN_SITES)
+def test_a_long_document_token_is_cut_off(capsys, monkeypatch, site):
+    argv, stdin, expected, last_line = _long_token_case(site, 100_000)
+    code, out, err = run_cli(capsys, argv, stdin, monkeypatch)
+    assert (code, out, err) == (expected, "", last_line + "\n")
+    assert len(err.encode("utf-8")) <= 200
+
+
+def test_shown_cuts_a_value_after_40_characters():
+    assert _shown("") == "''"
+    assert _shown("a\nb") == "'a\\nb'"
+    assert _shown("x" * 40) == "'" + "x" * 40 + "'"
+    assert _shown("x" * 41) == "'" + "x" * 40 + "'..."
+    assert _shown("\n" * 100_000) == "'" + "\\n" * 40 + "'..."
 
 
 def test_text_and_byte_stdin_answer_alike(capsys, monkeypatch, docs):

@@ -22,6 +22,8 @@ from tabcomp import (
     serialize_table_document,
 )
 
+from tabcomp.errors import _shown
+
 from strategies import indices, relations
 
 
@@ -150,16 +152,18 @@ def test_arbitrary_input_raises_only_parse_error(data):
         pass
 
 
-# document-shaped token soup, every number at most 2 digits, to get past the header
-_TOKENS = ["table", "function", "relation", "col", "1:", "2:", "#", "\n", " ", "x", "\uff11"]
+# document-shaped token soup, every number at most 2 digits, to get past the header; a token
+# past 40 characters is shown cut, so every message is one short line
+_TOKENS = ["table", "function", "relation", "col", "1:", "2:", "#", "\n", " ", "x", "\uff11", "x" * 41, "x" * 100_000]
 
 
 @given(st.lists(st.sampled_from(_TOKENS) | st.integers(0, 99).map(str), max_size=30))
 def test_document_shaped_input_raises_only_parse_error(tokens):
     try:
         parse_table_document(" ".join(tokens))
-    except ParseError:
-        pass
+    except ParseError as error:
+        message = str(error)
+        assert "\n" not in message and len(message) <= 160, message[:200]
 
 
 def _token_by_token_relation_body(lines, shape):
@@ -174,7 +178,7 @@ def _token_by_token_relation_body(lines, shape):
         line_number, tokens = lines[index]
         keyword, column = tokens[0]
         if keyword != "col":
-            raise ParseError(f"expected 'col', got {keyword!r}", line=line_number, column=column)
+            raise ParseError(f"expected 'col', got {_shown(keyword)}", line=line_number, column=column)
         if len(tokens) < 2:
             raise ParseError(
                 f"expected column index '{index}:' after 'col'", line=line_number, column=column
@@ -182,7 +186,7 @@ def _token_by_token_relation_body(lines, shape):
         label, label_column = tokens[1]
         if label != f"{index}:":
             raise ParseError(
-                f"expected '{index}:', got {label!r}", line=line_number, column=label_column
+                f"expected '{index}:', got {_shown(label)}", line=line_number, column=label_column
             )
         rows = []
         for token, token_column in tokens[2:]:
@@ -255,6 +259,8 @@ _SEPARATORS = st.lists(
     st.sampled_from([" ", "\t", "\r", "\x1c", "\xa0", "\u3000"]), min_size=1, max_size=2
 ).map("".join)
 # past sys.get_int_max_str_digits(), int() refuses the token
+# a token one character past the 40 an error line shows of it
+_LONG = "x" * 41
 _ODD_ROWS = ["007", "\u0661", "\u00b2", "x", "1" * (sys.get_int_max_str_digits() + 1)]
 _SMALL_COUNTS = st.integers(1, 12)
 # value counts about 1024, the last value in the documents' decimal table: the
@@ -337,6 +343,10 @@ def function_texts(draw):
 @example("table 1 9 relation\ncol 1: 5 10\n")
 @example("table 1 9 relation\ncol 1: 5 1\n")
 @example("table 1 9 relation\ncol 1:\n")
+# a keyword, label and row past 40 characters, each shown cut by both parsers
+@example(f"table 1 9 relation\n{_LONG} 1: 5\n")
+@example(f"table 1 9 relation\ncol {_LONG} 5\n")
+@example(f"table 1 9 relation\ncol 1: 5 {_LONG}\n")
 @settings(max_examples=400)
 def test_relation_parser_matches_token_by_token_parse(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
@@ -346,6 +356,9 @@ def test_relation_parser_matches_token_by_token_parse(text):
 # rows on both sides of the decimal table's last value, and one past m
 @example("table 2 1026 relation\ncol 1: 1023 1024 1025 1026\ncol 2: 007 1024\n")
 @example("table 1 1024 relation\ncol 1: 1023 1025\n")
+@example(f"table 1 1024 relation\n{_LONG} 1: 1024\n")
+@example(f"table 1 1024 relation\ncol {_LONG} 1024\n")
+@example(f"table 1 1024 relation\ncol 1: 1024 {_LONG}\n")
 @settings(max_examples=200)
 def test_relation_parser_matches_token_by_token_parse_about_1024(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
@@ -360,6 +373,10 @@ def test_relation_parser_matches_token_by_token_parse_about_1024(text):
 # a faulty digit line is reported before the extra line after it
 @example("table 2 9 function\n1 10\n0\n")
 @example("table 2 9 function\n1\n0\n")
+# a header keyword, kind and digit past 40 characters
+@example(f"{_LONG} 2 9 function\n1 2\n")
+@example(f"table 2 9 {_LONG}\n1 2\n")
+@example(f"table 2 9 function\n1 {_LONG}\n")
 @settings(max_examples=400)
 def test_function_parser_matches_token_by_token_parse(text):
     assert _outcome(parse_table_document, text) == _outcome(_token_by_token_parse, text)
